@@ -1,6 +1,7 @@
 #include "metrics/streaming.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <stdexcept>
@@ -190,7 +191,7 @@ bool is_unsigned_number(std::string_view field) {
   return true;
 }
 
-// Default ostream double formatting: digits, optional sign/dot/exponent.
+// printf("%.6g") text: digits, optional sign/dot/exponent.
 bool is_numeric(std::string_view field) {
   if (field.empty()) return false;
   bool digit = false;
@@ -241,21 +242,23 @@ SpillReplay replay_spill(const std::string& path) {
       saw_header = true;
       continue;
     }
-    // Structural validation: 13 comma-separated fields.
-    std::vector<std::string_view> fields;
+    // Structural validation: 13 comma-separated fields.  Fields past the
+    // thirteenth are only counted, for the rejection message.
+    std::array<std::string_view, 13> fields{};
+    std::size_t field_count = 0;
     std::string_view cursor = line;
     while (true) {
       const std::size_t comma = cursor.find(',');
-      if (comma == std::string_view::npos) {
-        fields.push_back(cursor);
-        break;
+      if (field_count < fields.size()) {
+        fields[field_count] = cursor.substr(0, comma);
       }
-      fields.push_back(cursor.substr(0, comma));
+      ++field_count;
+      if (comma == std::string_view::npos) break;
       cursor.remove_prefix(comma + 1);
     }
-    if (fields.size() != 13) {
+    if (field_count != fields.size()) {
       return reject("row " + std::to_string(line_number) +
-                    ": expected 13 fields, got " + std::to_string(fields.size()));
+                    ": expected 13 fields, got " + std::to_string(field_count));
     }
     // request, node, retries are unsigned integers; cold/failed are 0|1; the
     // four timing fields are either all present (numeric) or all empty.

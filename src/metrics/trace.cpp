@@ -1,6 +1,7 @@
 #include "metrics/trace.hpp"
 
-#include <sstream>
+#include <array>
+#include <charconv>
 
 #include "common/hash.hpp"
 
@@ -19,36 +20,62 @@ const char* status_name(platform::NodeStatus status) {
   return "unknown";
 }
 
+void append_uint(std::string& text, std::uint64_t value) {
+  std::array<char, 24> buf{};
+  text.append(buf.data(), std::to_chars(buf.data(), buf.data() + buf.size(),
+                                        value).ptr);
+}
+
+// Milliseconds render as std::to_chars(general, 6), which the standard
+// defines to equal printf("%.6g") -- the iostream default the pinned
+// GoldenDigestGuard digests were recorded with -- and which, unlike an
+// ostream, never consults the global locale.
+void append_millis(std::string& text, double millis) {
+  std::array<char, 32> buf{};
+  text.append(buf.data(),
+              std::to_chars(buf.data(), buf.data() + buf.size(), millis,
+                            std::chars_format::general, 6)
+                  .ptr);
+}
+
 // Shared row renderer, parameterized on the node-name lookup so the dag and
-// interned-name paths emit byte-identical text.  The ostringstream default
-// double formatting is load-bearing: the pinned GoldenDigestGuard digests
-// hash exactly these bytes.
+// interned-name paths emit byte-identical text.  Appends straight into
+// `text`: no stream, no per-row temporaries.
 template <typename NameOf>
 void append_rows(std::string& text, const platform::RequestResult& result,
                  NameOf&& name_of) {
-  std::ostringstream out;
   for (std::size_t i = 0; i < result.node_records.size(); ++i) {
     const platform::NodeRecord& record = result.node_records[i];
-    out << result.id.value() << ',' << i << ',' << name_of(i) << ','
-        << status_name(record.status) << ',';
-    const bool ran = record.status == platform::NodeStatus::Completed;
-    if (ran) {
-      out << record.trigger_time.millis() << ',' << record.exec_start.millis()
-          << ',' << record.exec_end.millis() << ','
-          << record.exec_duration.millis();
+    append_uint(text, result.id.value());
+    text += ',';
+    append_uint(text, i);
+    text += ',';
+    text += name_of(i);
+    text += ',';
+    text += status_name(record.status);
+    text += ',';
+    if (record.status == platform::NodeStatus::Completed) {
+      append_millis(text, record.trigger_time.millis());
+      text += ',';
+      append_millis(text, record.exec_start.millis());
+      text += ',';
+      append_millis(text, record.exec_end.millis());
+      text += ',';
+      append_millis(text, record.exec_duration.millis());
     } else {
-      out << ",,,";
+      text += ",,,";
     }
-    out << ',' << (record.cold ? 1 : 0) << ','
-        << record.provision_wait.millis() << ',' << record.retries << ','
-        << (result.failed ? 1 : 0) << ',';
+    text += record.cold ? ",1," : ",0,";
+    append_millis(text, record.provision_wait.millis());
+    text += ',';
+    append_uint(text, record.retries);
+    text += result.failed ? ",1," : ",0,";
     for (std::size_t p = 0; p < record.invoked_by.size(); ++p) {
-      if (p > 0) out << ';';
-      out << name_of(record.invoked_by[p].value());
+      if (p > 0) text += ';';
+      text += name_of(record.invoked_by[p].value());
     }
-    out << '\n';
+    text += '\n';
   }
-  text += out.str();
 }
 
 }  // namespace
@@ -82,7 +109,7 @@ std::string trace_csv(const platform::RequestResult& result,
 std::string trace_csv(const std::vector<platform::RequestResult>& results,
                       const workflow::WorkflowDag& dag) {
   std::string out = trace_csv_header();
-  for (const auto& result : results) out += trace_csv(result, dag);
+  for (const auto& result : results) append_trace_csv(out, result, dag);
   return out;
 }
 

@@ -27,7 +27,8 @@ namespace xanadu::metrics {
 /// Appends the rows of `result` to `out` (no header).  This is the canonical
 /// renderer: the batch trace_csv() overloads and the streaming consumer both
 /// call it, so the streamed digest hashes the exact bytes batch rendering
-/// produces.
+/// produces.  Millisecond columns are printf("%.6g") text, rendered with
+/// std::to_chars(general, 6) and therefore independent of the global locale.
 void append_trace_csv(std::string& out, const platform::RequestResult& result,
                       const workflow::WorkflowDag& dag);
 

@@ -36,7 +36,6 @@
 // top().
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -48,10 +47,6 @@
 #include "sim/time.hpp"
 
 namespace xanadu::sim {
-
-/// Compatibility alias: a few call sites (and tests) still pass
-/// std::function; EventFn absorbs it (an empty one stays empty).
-using EventCallback = std::function<void()>;
 
 // -- Race-check hooks --------------------------------------------------------
 //

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <locale>
+#include <string>
 #include <vector>
 
 #include "cluster/worker.hpp"
@@ -124,6 +126,35 @@ TEST(determinism, GoldenDigestGuard) {
             "09474c8bf1617704");
   EXPECT_EQ(metrics::digest_hex(run_digest(7, PlatformKind::KnativeLike)),
             "cfd4f2f832e32645");
+}
+
+/// Digit grouping as in many user locales: 1234567 prints as "1,234,567".
+class GroupingPunct : public std::numpunct<char> {
+ protected:
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+/// Installs a global locale for the scope, restoring the previous one after.
+class GlobalLocaleGuard {
+ public:
+  explicit GlobalLocaleGuard(const std::locale& locale)
+      : saved_(std::locale::global(locale)) {}
+  ~GlobalLocaleGuard() { std::locale::global(saved_); }
+  GlobalLocaleGuard(const GlobalLocaleGuard&) = delete;
+  GlobalLocaleGuard& operator=(const GlobalLocaleGuard&) = delete;
+
+ private:
+  std::locale saved_;
+};
+
+TEST(determinism, GoldenDigestIgnoresGlobalLocale) {
+  // A comma thousands separator inside a CSV field would shift the columns
+  // and move the digest; the trace renderer must not consult the locale.
+  const GlobalLocaleGuard guard{
+      std::locale{std::locale::classic(), new GroupingPunct}};
+  EXPECT_EQ(metrics::digest_hex(run_digest(42, PlatformKind::XanaduJit)),
+            "c2afc5031706210f");
 }
 
 TEST(determinism, FaultedRunSameSeedSameDigest) {

@@ -142,6 +142,27 @@ TEST(TraceSpillTest, RejectsMidRowCorruption) {
   EXPECT_FALSE(replay.error.empty());
 }
 
+TEST(TraceSpillTest, RejectsWrongFieldCount) {
+  const std::string good = "7,0,f1,completed,0,0.5,1,0.5,0,0,0,0,\n";
+  const auto replay_rows = [](const std::string& name,
+                              const std::string& rows) {
+    const std::string path = spill_file(name.c_str());
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out << trace_csv_header() << rows;
+    out.close();
+    return replay_spill(path);
+  };
+  EXPECT_TRUE(replay_rows("spill_good_row.csv", good).ok);
+  const SpillReplay short_row = replay_rows(
+      "spill_short_row.csv", good + "7,1,f2,completed,0,0.5,1,0.5,0,0,0,0\n");
+  EXPECT_FALSE(short_row.ok);
+  EXPECT_EQ(short_row.error, "row 3: expected 13 fields, got 12");
+  const SpillReplay long_row =
+      replay_rows("spill_long_row.csv", "7,0,f1,completed,0,0,0,0,0,0,0,0,,,\n");
+  EXPECT_FALSE(long_row.ok);
+  EXPECT_EQ(long_row.error, "row 2: expected 13 fields, got 15");
+}
+
 TEST(TraceSpillTest, RejectsMissingFile) {
   const SpillReplay replay =
       replay_spill(spill_file("does_not_exist.csv"));
