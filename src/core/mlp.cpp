@@ -1,6 +1,6 @@
 #include "core/mlp.hpp"
 
-#include <deque>
+#include <vector>
 
 namespace xanadu::core {
 
@@ -10,7 +10,6 @@ MlpResult estimate_impl(const BranchModel& model,
                         const std::vector<NodeId>& seeds,
                         const MlpOptions& options) {
   MlpResult result;
-  std::deque<NodeId> frontier;
 
   auto append = [&](NodeId id, double likelihood) {
     if (result.likelihood.contains(id)) {
@@ -24,14 +23,15 @@ MlpResult estimate_impl(const BranchModel& model,
     }
     result.path.push_back(id);
     result.likelihood.emplace(id, likelihood);
-    frontier.push_back(id);
   };
 
   for (const NodeId seed : seeds) append(seed, 1.0);
 
-  while (!frontier.empty()) {
-    const NodeId id = frontier.front();
-    frontier.pop_front();
+  // The path is discovered breadth-first, so it doubles as the BFS queue:
+  // nodes before `head` are expanded, the rest are the frontier.
+  std::size_t head = 0;
+  while (head < result.path.size()) {
+    const NodeId id = result.path[head++];
     const ModelNode* parent = model.find(id);
     if (parent == nullptr || parent->children.empty()) continue;
 

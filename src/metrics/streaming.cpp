@@ -322,8 +322,17 @@ void StreamingTrace::consume(std::size_t source,
   scratch_.clear();
   append_trace_csv(scratch_, result, lane.node_names);
 
-  digest_ = common::fnv1a(scratch_, digest_);
-  lane.digest = common::fnv1a(scratch_, lane.digest);
+  // Both FNV-1a chains in one pass over the row bytes: the two serial
+  // multiplies interleave instead of running back to back.
+  std::uint64_t aggregate = digest_;
+  std::uint64_t own = lane.digest;
+  for (const char c : scratch_) {
+    const auto byte = static_cast<unsigned char>(c);
+    aggregate = (aggregate ^ byte) * common::kFnvPrime;
+    own = (own ^ byte) * common::kFnvPrime;
+  }
+  digest_ = aggregate;
+  lane.digest = own;
 
   stats_.consume(result);
   lane.stats.consume(result);

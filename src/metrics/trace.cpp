@@ -2,6 +2,7 @@
 
 #include <array>
 #include <charconv>
+#include <cstdint>
 
 #include "common/hash.hpp"
 
@@ -26,10 +27,9 @@ void append_uint(std::string& text, std::uint64_t value) {
                                         value).ptr);
 }
 
-// Milliseconds render as std::to_chars(general, 6), which the standard
-// defines to equal printf("%.6g") -- the iostream default the pinned
-// GoldenDigestGuard digests were recorded with -- and which, unlike an
-// ostream, never consults the global locale.
+// printf("%.6g") of a millisecond double, via std::to_chars(general, 6),
+// which the standard defines to match printf and which, unlike an ostream,
+// never consults the global locale.  Only append_micros' fallback uses it.
 void append_millis(std::string& text, double millis) {
   std::array<char, 32> buf{};
   text.append(buf.data(),
@@ -37,6 +37,89 @@ void append_millis(std::string& text, double millis) {
                             std::chars_format::general, 6)
                   .ptr);
 }
+
+constexpr std::array<std::uint64_t, 16> kPow10 = [] {
+  std::array<std::uint64_t, 16> pow10{};
+  pow10[0] = 1;
+  for (std::size_t i = 1; i < pow10.size(); ++i) pow10[i] = pow10[i - 1] * 10;
+  return pow10;
+}();
+
+/// Integer rendering is exact below 10^15 us (see append_micros).
+constexpr std::int64_t kExactMicrosLimit = 1'000'000'000'000'000;
+
+}  // namespace
+
+// Contract: the text is printf("%.6g") of micros / 1e3 -- the number format
+// the pinned digests were recorded with -- computed from the integer.  With
+// D decimal digits, a value above 6 digits rounds half-up on the remainder
+// below its 6th digit; the leading digit sits at 10^(D-4) ms, which picks
+// fixed or exponent notation exactly as %g does.  This is exact because the
+// true value of every non-tie lies >= 1 us from its rounding boundary while
+// the double micros / 1e3 is off by < 0.2 us below 10^15 us, so the double
+// rounds the same way.  At an exact tie the double's binary value (just
+// above or below the boundary) decides, so ties -- like negative values and
+// values >= 10^15 us -- take the std::to_chars path itself.
+void append_micros(std::string& text, std::int64_t micros) {
+  if (micros == 0) {
+    text += '0';
+    return;
+  }
+  if (micros < 0 || micros >= kExactMicrosLimit) {
+    append_millis(text, static_cast<double>(micros) / 1e3);
+    return;
+  }
+  auto significand = static_cast<std::uint64_t>(micros);
+  std::size_t digits = 1;
+  while (significand >= kPow10[digits]) ++digits;
+  std::size_t kept = digits;  // Significant digits rendered (<= 6).
+  if (digits > 6) {
+    const std::uint64_t unit = kPow10[digits - 6];
+    const std::uint64_t remainder = significand % unit;
+    significand /= unit;
+    if (remainder == unit / 2) {
+      append_millis(text, static_cast<double>(micros) / 1e3);
+      return;
+    }
+    if (remainder > unit / 2 && ++significand == kPow10[6]) {
+      significand = kPow10[5];  // Carry: 999999.5 rounds up to 1000000.
+      ++digits;
+    }
+    kept = 6;
+  }
+  std::array<char, 6> digit{};
+  for (std::size_t i = kept; i-- > 0;) {
+    digit[i] = static_cast<char>('0' + significand % 10);
+    significand /= 10;
+  }
+  std::size_t used = kept;  // Digits left after stripping trailing zeros.
+  while (used > 1 && digit[used - 1] == '0') --used;
+
+  const int exponent = static_cast<int>(digits) - 4;  // Leading digit, in ms.
+  if (exponent >= 6) {
+    text += digit[0];
+    if (used > 1) {
+      text += '.';
+      text.append(digit.data() + 1, used - 1);
+    }
+    text += "e+";
+    text += static_cast<char>('0' + exponent / 10);
+    text += static_cast<char>('0' + exponent % 10);
+  } else if (exponent < 0) {
+    text += "0.";
+    text.append(static_cast<std::size_t>(-exponent - 1), '0');
+    text.append(digit.data(), used);
+  } else {
+    const std::size_t whole = digits - 3;  // exponent + 1
+    text.append(digit.data(), whole);
+    if (used > whole) {
+      text += '.';
+      text.append(digit.data() + whole, used - whole);
+    }
+  }
+}
+
+namespace {
 
 // Shared row renderer, parameterized on the node-name lookup so the dag and
 // interned-name paths emit byte-identical text.  Appends straight into
@@ -55,18 +138,18 @@ void append_rows(std::string& text, const platform::RequestResult& result,
     text += status_name(record.status);
     text += ',';
     if (record.status == platform::NodeStatus::Completed) {
-      append_millis(text, record.trigger_time.millis());
+      append_micros(text, record.trigger_time.micros());
       text += ',';
-      append_millis(text, record.exec_start.millis());
+      append_micros(text, record.exec_start.micros());
       text += ',';
-      append_millis(text, record.exec_end.millis());
+      append_micros(text, record.exec_end.micros());
       text += ',';
-      append_millis(text, record.exec_duration.millis());
+      append_micros(text, record.exec_duration.micros());
     } else {
       text += ",,,";
     }
     text += record.cold ? ",1," : ",0,";
-    append_millis(text, record.provision_wait.millis());
+    append_micros(text, record.provision_wait.micros());
     text += ',';
     append_uint(text, record.retries);
     text += result.failed ? ",1," : ",0,";

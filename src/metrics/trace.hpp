@@ -27,8 +27,8 @@ namespace xanadu::metrics {
 /// Appends the rows of `result` to `out` (no header).  This is the canonical
 /// renderer: the batch trace_csv() overloads and the streaming consumer both
 /// call it, so the streamed digest hashes the exact bytes batch rendering
-/// produces.  Millisecond columns are printf("%.6g") text, rendered with
-/// std::to_chars(general, 6) and therefore independent of the global locale.
+/// produces.  Millisecond columns are rendered by append_micros() and are
+/// therefore independent of the global locale.
 void append_trace_csv(std::string& out, const platform::RequestResult& result,
                       const workflow::WorkflowDag& dag);
 
@@ -39,6 +39,12 @@ void append_trace_csv(std::string& out, const platform::RequestResult& result,
 /// `node_names[i] == dag.node(i).fn.name`.
 void append_trace_csv(std::string& out, const platform::RequestResult& result,
                       const std::vector<std::string_view>& node_names);
+
+/// Appends `micros` as milliseconds in the trace's number format: the bytes
+/// of printf("%.6g", micros / 1e3) under the classic locale, computed from
+/// the integer.  This is the digest's number format; every millisecond
+/// column of a trace row goes through it.
+void append_micros(std::string& out, std::int64_t micros);
 
 /// Concatenates the header and the rows of many results.
 [[nodiscard]] std::string trace_csv(

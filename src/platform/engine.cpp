@@ -240,11 +240,9 @@ void PlatformEngine::provision_ready(FunctionId fn, WorkerId worker_id,
                            sim_.now() - worker->provision_start());
 
   // Serve the first still-live waiter; anything else re-enters dispatch.
-  while (!waiters.empty()) {
-    auto [request, node] = waiters.front();
-    waiters.pop_front();
-    RequestContext* ctx = find_request(request);
-    if (ctx == nullptr) continue;
+  for (std::size_t served = 0; served < waiters.size(); ++served) {
+    const auto [request, node] = waiters[served];
+    if (find_request(request) == nullptr) continue;
     // Daemon -> manager -> proxy handoff: the fresh worker idles briefly
     // before the waiting request reaches it.
     const RequestId request_id = request;
@@ -270,7 +268,8 @@ void PlatformEngine::provision_ready(FunctionId fn, WorkerId worker_id,
       start_execution(*live, node, worker_id);
     }, "engine.worker_handoff");
     // Any remaining waiters need their own workers.
-    for (auto [other_request, other_node] : waiters) {
+    for (std::size_t i = served + 1; i < waiters.size(); ++i) {
+      const auto [other_request, other_node] = waiters[i];
       if (RequestContext* other = find_request(other_request)) {
         dispatch_node(*other, other_node);
       }

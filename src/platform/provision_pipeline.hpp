@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -38,7 +37,7 @@ namespace xanadu::platform {
 
 /// One (request, node) pair waiting on an in-flight provision, FIFO.
 using ProvisionWaiter = std::pair<RequestId, NodeId>;
-using ProvisionWaiters = std::deque<ProvisionWaiter>;
+using ProvisionWaiters = std::vector<ProvisionWaiter>;
 
 /// One in-flight sandbox build.
 struct PendingProvision {

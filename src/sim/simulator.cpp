@@ -8,6 +8,27 @@ namespace xanadu::sim {
 
 common::EventId Simulator::schedule_at(TimePoint when, EventFn callback,
                                        const char* label) {
+  const common::EventId id = push_event(when, next_seq_, std::move(callback),
+                                        label);
+  ++next_seq_;  // After validation: a rejected event consumes no seq.
+  return id;
+}
+
+std::uint64_t Simulator::reserve_seqs(std::uint64_t count) {
+  const std::uint64_t first = next_seq_;
+  next_seq_ += count;
+  return first;
+}
+
+common::EventId Simulator::schedule_reserved(TimePoint when, std::uint64_t seq,
+                                             EventFn callback,
+                                             const char* label) {
+  XANADU_INVARIANT(seq < next_seq_, "scheduled with an unreserved seq");
+  return push_event(when, seq, std::move(callback), label);
+}
+
+common::EventId Simulator::push_event(TimePoint when, std::uint64_t seq,
+                                      EventFn&& callback, const char* label) {
   if (when < now_) {
     throw std::invalid_argument{"Simulator::schedule_at: time is in the past"};
   }
@@ -18,7 +39,7 @@ common::EventId Simulator::schedule_at(TimePoint when, EventFn callback,
   Slot& s = slab_[slot];
   s.callback = std::move(callback);
   s.label = label;
-  heap_push(HeapEntry{when, next_seq_++, slot, s.generation});
+  heap_push(HeapEntry{when, seq, slot, s.generation});
   ++live_;
   return pack_id(slot, s.generation);
 }

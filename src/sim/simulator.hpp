@@ -110,6 +110,21 @@ class Simulator {
   common::EventId schedule_at(TimePoint when, EventFn callback,
                               const char* label = nullptr);
 
+  /// Reserves `count` consecutive sequence numbers and returns the first.
+  /// An event later scheduled with one of them through schedule_reserved()
+  /// breaks same-time ties as if it had been scheduled now, so a long
+  /// prescheduled stream can keep only its next events queued.
+  std::uint64_t reserve_seqs(std::uint64_t count);
+
+  /// schedule_at() with a sequence number from reserve_seqs(), each used
+  /// once.  Pop order equals scheduling every reserved event at reservation
+  /// time as long as each is scheduled before any event ordered after it by
+  /// (when, seq) fires; a grouped drain additionally needs `when` to lie
+  /// past the timestamp being fired.
+  common::EventId schedule_reserved(TimePoint when, std::uint64_t seq,
+                                    EventFn callback,
+                                    const char* label = nullptr);
+
   /// Schedules `callback` after `delay` (clamped to be non-negative).
   common::EventId schedule_after(Duration delay, EventFn callback,
                                  const char* label = nullptr);
@@ -216,6 +231,11 @@ class Simulator {
     return common::EventId{(static_cast<std::uint64_t>(generation) << 32) |
                            slot};
   }
+
+  /// Validates and queues one event under `seq`; shared by schedule_at and
+  /// schedule_reserved.
+  common::EventId push_event(TimePoint when, std::uint64_t seq,
+                             EventFn&& callback, const char* label);
 
   std::uint32_t acquire_slot();
   /// Destroys the slot's callback, bumps its generation (invalidating every

@@ -90,11 +90,13 @@ struct RunOptions {
   /// Streaming consumer configuration (ring capacity, histogram shape,
   /// fraction-over threshold, optional CSV spill).
   metrics::StreamOptions stream;
-  /// 0 = preschedule every arrival up front (the digest-stable default).
+  /// 0 = prescheduled arrivals (the digest-stable default): every arrival
+  /// holds a sequence number reserved up front, so events pop exactly as if
+  /// all were queued at the start, yet only the next arrival instant is
+  /// pending at a time -- no O(N) queue memory.
   /// N > 0 chains arrival scheduling so at most N arrival events are pending
-  /// at once -- bounded event-queue memory for 10M-request runs, but a
-  /// different event-creation sequence, so traces are NOT digest-comparable
-  /// with the default mode.
+  /// at once -- a different event-creation sequence, so traces are NOT
+  /// digest-comparable with the default mode.
   std::size_t arrival_window = 0;
   /// OS threads for the conservative parallel drain (run_sharded_mix).
   /// 1 = today's exact sequential path on the calling thread; higher values

@@ -118,13 +118,18 @@ class MixDriver {
   }
 
   void start() {
-    window_ = options_.arrival_window == 0
-                  ? total_
-                  : std::min(options_.arrival_window, total_);
-    // With arrival_window unset this preschedules every slot up front, in
-    // slot order, exactly as the pre-streaming harness did -- same event
-    // creation sequence, same digests.
-    for (std::size_t slot = 0; slot < window_; ++slot) schedule_slot(slot);
+    if (options_.arrival_window > 0) {
+      window_ = std::min(options_.arrival_window, total_);
+      for (std::size_t slot = 0; slot < window_; ++slot) schedule_slot(slot);
+      return;
+    }
+    // Prescheduled mode: slot i carries seq first_seq_ + i, the seq it had
+    // when every slot was scheduled up front in slot order, so pop order and
+    // digests are those of the full preschedule.  Only the next arrival time
+    // is queued: a later slot cannot be the heap minimum while an earlier
+    // one is pending.
+    first_seq_ = sim_.reserve_seqs(total_);
+    schedule_next_instant();
   }
 
  private:
@@ -140,11 +145,27 @@ class MixDriver {
                      "workload.arrival");
   }
 
+  // Prescheduled mode: queues every unscheduled slot sharing the next
+  // arrival time under its reserved seq.  Queuing a whole instant at once
+  // keeps a grouped (race-check) drain's tie groups those of the full
+  // preschedule.
+  void schedule_next_instant() {
+    if (scheduled_ == total_) return;
+    const sim::Duration at = arrival(scheduled_).at;
+    do {
+      const std::size_t slot = scheduled_++;
+      sim_.schedule_reserved(base_ + at, first_seq_ + slot,
+                             [this, slot] { fire(slot); }, "workload.arrival");
+    } while (scheduled_ < total_ && arrival(scheduled_).at == at);
+  }
+
   void fire(std::size_t slot) {
-    // Chained mode: keep at most window_ arrival events pending.  Arrivals
-    // are sorted, so slot + window_ never fires before this one.
-    if (options_.arrival_window > 0 && slot + window_ < total_) {
-      schedule_slot(slot + window_);
+    if (options_.arrival_window > 0) {
+      // Chained mode: keep at most window_ arrival events pending.  Arrivals
+      // are sorted, so slot + window_ never fires before this one.
+      if (slot + window_ < total_) schedule_slot(slot + window_);
+    } else if (slot + 1 == scheduled_) {
+      schedule_next_instant();  // The last queued slot: queue the next time.
     }
     if (options_.force_cold_each_request) manager_.force_cold_start();
     const common::WorkflowId workflow =
@@ -195,6 +216,9 @@ class MixDriver {
   bool single_;
   std::size_t total_;
   std::size_t window_ = 0;
+  /// Prescheduled mode: the first reserved seq, and slots queued so far.
+  std::uint64_t first_seq_ = 0;
+  std::size_t scheduled_ = 0;
   std::vector<MixedArrival> merged_;
   /// Retention on: which slots hold a result (fold frontier scan).
   std::vector<std::uint8_t> done_;

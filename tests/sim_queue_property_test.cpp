@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <vector>
 
@@ -275,6 +276,113 @@ TEST(SimQueueProperty, HeavySameTimeTiesKeepFifoOrder) {
     real.run();
     ref.run([&ref_order](std::uint32_t label) { ref_order.push_back(label); });
     ASSERT_EQ(real_order, ref_order) << "seed " << seed;
+  }
+}
+
+TEST(SimQueueProperty, ReservedSeqChainsMatchFullPreschedule) {
+  // The reference schedules every link of a chain up front; the real queue
+  // reserves the chain's seqs and queues link i + 1 only when link i fires.
+  // Pop order must be identical, including ties against plain events
+  // scheduled before, between and after the reservations, cancellations,
+  // and children spawned by firing events.
+  struct Chain {
+    std::vector<TimePoint> at;
+    std::uint64_t first_seq = 0;
+    std::uint32_t base_label = 0;
+  };
+  for (std::uint64_t seed = 200; seed <= 224; ++seed) {
+    Rng rng{seed};
+    Simulator real;
+    ReferenceSim ref;
+    std::vector<std::uint32_t> real_order;
+    std::vector<std::uint32_t> ref_order;
+    std::vector<Chain> chains;
+    chains.reserve(64);
+    std::map<std::uint32_t, EventId> plain_ids;
+    std::uint32_t next_plain = 1;
+    constexpr std::uint32_t kChainStride = 1'000;
+    constexpr std::uint32_t kChainBase = 1'000'000;
+    // Plain events with label % 4 == 0 spawn one child when they fire.
+    const auto spawns = [](std::uint32_t label) {
+      return label < kChainBase / 2 && label % 4 == 0;
+    };
+    const auto child_of = [](std::uint32_t label) {
+      return label + kChainBase / 2;
+    };
+
+    std::function<void(std::size_t, std::size_t)> queue_link;
+    const std::function<void(std::uint32_t)> fire_plain =
+        [&](std::uint32_t label) {
+          real_order.push_back(label);
+          plain_ids.erase(label);
+          if (spawns(label)) {
+            const std::uint32_t child = child_of(label);
+            real.schedule_after(Duration::from_micros(label % 3),
+                                [&fire_plain, child] { fire_plain(child); });
+          }
+        };
+    queue_link = [&](std::size_t chain, std::size_t link) {
+      const Chain& c = chains[chain];
+      real.schedule_reserved(c.at[link], c.first_seq + link, [&, chain, link] {
+        real_order.push_back(chains[chain].base_label +
+                             static_cast<std::uint32_t>(link));
+        if (link + 1 < chains[chain].at.size()) queue_link(chain, link + 1);
+      });
+    };
+    const auto on_ref_fire = [&](std::uint32_t label) {
+      ref_order.push_back(label);
+      if (spawns(label)) {
+        ref.schedule(ref.now() + Duration::from_micros(label % 3),
+                     child_of(label));
+      }
+    };
+
+    for (int phase = 0; phase < 30; ++phase) {
+      const std::size_t plain = rng.uniform_int(6);
+      for (std::size_t i = 0; i < plain; ++i) {
+        const std::uint32_t label = next_plain++;
+        const auto delay = Duration::from_micros(
+            static_cast<std::int64_t>(rng.uniform_int(40)));
+        plain_ids[label] = real.schedule_after(
+            delay, [&fire_plain, label] { fire_plain(label); });
+        ref.schedule(ref.now() + delay, label);
+      }
+      if (rng.uniform_int(2) == 0) {
+        Chain chain;
+        chain.base_label =
+            kChainBase + static_cast<std::uint32_t>(chains.size()) * kChainStride;
+        TimePoint at = real.now();
+        const std::size_t links = 1 + rng.uniform_int(40);
+        for (std::size_t i = 0; i < links; ++i) {
+          // Gaps of 0 us make chain links tie with each other as well.
+          at = at + Duration::from_micros(
+                        static_cast<std::int64_t>(rng.uniform_int(4)));
+          chain.at.push_back(at);
+          ref.schedule(at, chain.base_label + static_cast<std::uint32_t>(i));
+        }
+        chain.first_seq = real.reserve_seqs(links);
+        chains.push_back(std::move(chain));
+        queue_link(chains.size() - 1, 0);
+      }
+      if (!plain_ids.empty() && rng.uniform_int(3) == 0) {
+        auto it = plain_ids.begin();
+        std::advance(it, static_cast<std::int64_t>(
+                             rng.uniform_int(plain_ids.size())));
+        ASSERT_TRUE(real.cancel(it->second)) << "seed " << seed;
+        ASSERT_TRUE(ref.cancel(it->first)) << "seed " << seed;
+        plain_ids.erase(it);
+      }
+      const TimePoint deadline =
+          real.now() +
+          Duration::from_micros(static_cast<std::int64_t>(rng.uniform_int(30)));
+      real.run_until(deadline);
+      ref.run_until(deadline, on_ref_fire);
+      ASSERT_EQ(real_order, ref_order) << "seed " << seed << " phase " << phase;
+    }
+    real.run();
+    ref.run(on_ref_fire);
+    ASSERT_EQ(real_order, ref_order) << "seed " << seed;
+    EXPECT_EQ(real.pending(), 0u) << "seed " << seed;
   }
 }
 

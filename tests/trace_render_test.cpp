@@ -4,10 +4,15 @@
 // number formatting is part of the determinism contract.  The oracle below
 // is the iostream renderer the digests were first recorded with, imbued with
 // the classic locale; append_trace_csv must reproduce its bytes exactly on
-// hand-picked edge cases and on a seeded sweep of random timings.
+// hand-picked edge cases and on a seeded sweep of random timings.  The
+// integer formatter append_micros is checked value by value against
+// std::to_chars(general, 6) of the millisecond double over dense ranges,
+// every rounding tie and carry, and a log-uniform sweep.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <locale>
@@ -180,6 +185,77 @@ TEST(TraceRender, SeededSweepMatchesOracle) {
     std::string rendered;
     metrics::append_trace_csv(rendered, result, dag);
     ASSERT_EQ(rendered, oracle_rows(result, dag)) << "result " << r;
+  }
+}
+
+// printf("%.6g") of the millisecond double, as the renderer first emitted it.
+std::string to_chars_millis(std::int64_t micros) {
+  std::array<char, 32> buf{};
+  const double millis = static_cast<double>(micros) / 1e3;
+  return {buf.data(), std::to_chars(buf.data(), buf.data() + buf.size(),
+                                    millis, std::chars_format::general, 6)
+                          .ptr};
+}
+
+// Checks every value in [first, last]; a failure names the first mismatch.
+::testing::AssertionResult micros_match(std::int64_t first,
+                                        std::int64_t last) {
+  std::string text;
+  for (std::int64_t micros = first; micros <= last; ++micros) {
+    text.clear();
+    metrics::append_micros(text, micros);
+    const std::string expected = to_chars_millis(micros);
+    if (text != expected) {
+      return ::testing::AssertionFailure()
+             << micros << " us rendered " << text << ", expected " << expected;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr std::int64_t pow10(int exponent) {
+  std::int64_t value = 1;
+  for (int i = 0; i < exponent; ++i) value *= 10;
+  return value;
+}
+
+TEST(TraceRender, MicrosMatchToCharsOnEveryValueNearZero) {
+  EXPECT_TRUE(micros_match(-1'000'000, 10'000'000));
+}
+
+TEST(TraceRender, MicrosMatchToCharsAroundPowersOfTen) {
+  // Up to and past the 10^15 us limit of the integer path.
+  for (int k = 1; k <= 16; ++k) {
+    EXPECT_TRUE(micros_match(pow10(k) - 3000, pow10(k) + 3000)) << "10^" << k;
+  }
+}
+
+TEST(TraceRender, MicrosMatchToCharsAtTiesAndCarries) {
+  // j * 10^k + 5 * 10^(k-6) is the exact tie below the 6th significant digit
+  // of a one-digit lead j.
+  for (int k = 6; k <= 15; ++k) {
+    for (std::int64_t j = 1; j <= 9; ++j) {
+      const std::int64_t tie = j * pow10(k) + 5 * pow10(k - 6);
+      EXPECT_TRUE(micros_match(tie - 2, tie + 2)) << j << "e" << k;
+    }
+  }
+  // Ties and carries of full six-digit significands q * 10^e + 10^e / 2,
+  // including 999999.5 rounding up to the next power of ten.
+  for (int e = 1; e <= 10; ++e) {
+    for (const std::int64_t q : {100000, 100001, 123456, 499999, 500000,
+                                 999998, 999999}) {
+      const std::int64_t tie = q * pow10(e) + pow10(e) / 2;
+      EXPECT_TRUE(micros_match(tie - 2, tie + 2)) << q << "e" << e;
+    }
+  }
+}
+
+TEST(TraceRender, MicrosMatchToCharsOnLogUniformSweep) {
+  std::mt19937_64 rng{0x6d1c205eedULL};
+  std::uniform_real_distribution<double> exponent{0.0, 16.0};
+  for (int i = 0; i < 2'000'000; ++i) {
+    const auto micros = static_cast<std::int64_t>(std::pow(10.0, exponent(rng)));
+    ASSERT_TRUE(micros_match(micros, micros));
   }
 }
 

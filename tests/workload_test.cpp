@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics/trace.hpp"
 #include "workflow/builders.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/case_studies.hpp"
@@ -164,6 +165,63 @@ TEST(Runner, FractionOverThreshold) {
   slow.overhead = Duration::from_millis(5000);
   outcome.results = {fast, slow, slow, slow};
   EXPECT_DOUBLE_EQ(outcome.fraction_over(Duration::from_millis(1000)), 0.75);
+}
+
+TEST(Runner, PrescheduledArrivalsQueueOnlyTheNextInstant) {
+  // ~10k Poisson arrivals, every 100th duplicated so same-time arrivals tie.
+  // Prescheduled mode (arrival_window 0) queues only the next arrival
+  // instant under reserved seqs, so the event slab stays in the hundreds
+  // instead of holding every arrival, while the digest stays the one
+  // pinned when every arrival was queued up front.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::KnativeLike;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(5);
+  const auto wf = manager.deploy(workflow::linear_chain(4, build));
+  common::Rng rng{42};
+  const ArrivalSchedule poisson_arrivals =
+      poisson(Duration::from_millis(20), Duration::from_seconds(200), rng);
+  ArrivalSchedule schedule;
+  for (std::size_t i = 0; i < poisson_arrivals.size(); ++i) {
+    schedule.push_back(poisson_arrivals[i]);
+    if (i % 100 == 0) schedule.push_back(poisson_arrivals[i]);
+  }
+  ASSERT_GE(schedule.size(), 10'000u);
+  RunOptions run;
+  run.retain_results = false;
+  const RunOutcome outcome = run_schedule(manager, wf, schedule, run);
+  EXPECT_EQ(outcome.completed_count(), schedule.size());
+  EXPECT_LT(manager.simulator().slab_capacity(), 1'000u);
+  EXPECT_EQ(metrics::digest_hex(outcome.trace_digest), "56fb07b71d3b7cda");
+}
+
+TEST(Runner, SameTimeArrivalsShareOneTieGroup) {
+  // Prescheduled arrivals at one instant are queued together, so a grouped
+  // (race-check) drain sees them in one tie group, as it did when every
+  // arrival was queued up front, and recording leaves the digest alone.
+  const ArrivalSchedule schedule{Duration::zero(), Duration::from_millis(5),
+                                 Duration::from_millis(5),
+                                 Duration::from_millis(5),
+                                 Duration::from_millis(10)};
+  const auto run = [&schedule](sim::TieRecorder* recorder) {
+    core::DispatchManagerOptions options;
+    options.kind = core::PlatformKind::KnativeLike;
+    core::DispatchManager manager{options};
+    const auto wf = manager.deploy(workflow::linear_chain(2));
+    manager.simulator().set_tie_recorder(recorder);
+    return run_schedule(manager, wf, schedule).trace_digest;
+  };
+  sim::TieRecorder recorder;
+  EXPECT_EQ(run(&recorder), run(nullptr));
+  std::size_t tied_arrivals = 0;
+  for (const sim::TieGroup& group : recorder.groups) {
+    if (group.when != sim::TimePoint{} + Duration::from_millis(5)) continue;
+    for (const sim::TieEvent& event : group.events) {
+      if (event.label == "workload.arrival") ++tied_arrivals;
+    }
+  }
+  EXPECT_EQ(tied_arrivals, 3u);
 }
 
 TEST(Runner, RejectsUnsortedSchedule) {
