@@ -3,11 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <type_traits>
 
 #include "sim/logical_process.hpp"
 #include "sim/sharded.hpp"
 
 namespace xanadu::platform {
+
+// Slots copy messages by value and the bridge closure carries the payload
+// inline (see publish), both of which assume a small, trivially copyable
+// payload.
+static_assert(std::is_trivially_copyable_v<BusMessage>);
+static_assert(sizeof(BusPayload) <= 40);
 
 MessageBus::MessageBus(sim::Simulator& simulator, Options options,
                        common::Rng rng)
@@ -36,8 +43,8 @@ SubscriptionId MessageBus::subscribe(TopicId topic, BusHandler handler) {
     throw std::invalid_argument{"MessageBus::subscribe: unknown topic id"};
   }
   const SubscriptionId id = subscription_ids_.next();
-  topics_[topic.value()].subscriptions.push_back(
-      Subscription{id, std::move(handler)});
+  topics_[topic.value()].subscriptions.push_back(Subscription{
+      id, std::make_shared<const BusHandler>(std::move(handler))});
   return id;
 }
 
@@ -57,11 +64,11 @@ bool MessageBus::unsubscribe(SubscriptionId id) {
 }
 
 std::uint64_t MessageBus::publish(const std::string& topic,
-                                  std::string payload) {
-  return publish(intern(topic), std::move(payload));
+                                  const BusPayload& payload) {
+  return publish(intern(topic), payload);
 }
 
-std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
+std::uint64_t MessageBus::publish(TopicId topic, const BusPayload& payload) {
   if (!topic.valid() || topic.value() >= topics_.size()) {
     throw std::invalid_argument{"MessageBus::publish: unknown topic id"};
   }
@@ -83,15 +90,14 @@ std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
 
   // Cross-shard fan-out: a copy of the payload crosses the mailbox and is
   // handed to the remote bus after the bridge latency.  The closure is
-  // pointer + TopicId + std::string = 48 bytes, inside EventFn's inline
-  // buffer, and std::string's move is noexcept, so it crosses the mailbox
-  // without allocating beyond the payload itself.
+  // pointer + TopicId + BusPayload = 56 bytes, exactly EventFn's inline
+  // buffer, so it crosses the mailbox without allocating.
   for (const Bridge& bridge : state.bridges) {
     MessageBus* const remote = bridge.remote;
     const TopicId remote_topic = bridge.remote_topic;
     lp_->send(bridge.target, sim_.now() + bridge.latency,
-              [remote, remote_topic, copy = payload]() mutable {
-                remote->deliver_bridged(remote_topic, std::move(copy));
+              [remote, remote_topic, payload] {
+                remote->deliver_bridged(remote_topic, payload);
               },
               "bus.bridge");
     ++bridged_out_;
@@ -112,47 +118,65 @@ std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
   when = std::max(when, state.last_delivery);
   state.last_delivery = when;
 
-  auto message = std::make_shared<BusMessage>();
-  message->topic = std::string{names_.view(topic.value())};
-  message->payload = std::move(payload);
-  message->offset = offset;
-  message->published = sim_.now();
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const bool duplicate = fault == sim::FaultPlan::BusFault::Duplicate;
+  slots_[slot] = Slot{BusMessage{topic, payload, offset, sim_.now()},
+                      duplicate ? 2U : 1U};
 
-  schedule_delivery(topic, when, message);
-  if (fault == sim::FaultPlan::BusFault::Duplicate) {
+  schedule_delivery(when, slot);
+  if (duplicate) {
     // The duplicate lands immediately after the original (same virtual time,
-    // FIFO tie-break) and keeps its offset, like a Kafka redelivery.
-    schedule_delivery(topic, when, message);
+    // FIFO tie-break), shares its slot and keeps its offset, like a Kafka
+    // redelivery.
+    schedule_delivery(when, slot);
   }
   return offset;
 }
 
-void MessageBus::schedule_delivery(TopicId topic, sim::TimePoint when,
-                                   const std::shared_ptr<BusMessage>& message) {
-  Topic& state = topics_[topic.value()];
-  state.last_delivery = std::max(state.last_delivery, when);
-  // Captures: this + TopicId + shared_ptr = 32 bytes, inside EventFn's
-  // inline buffer -- the delivery path does not allocate per message.
-  sim_.schedule_at(
-      when,
-      [this, topic, message] {
-        // Copy the subscriber list: handlers may (un)subscribe re-entrantly.
-        const std::vector<Subscription> subscribers =
-            topics_[topic.value()].subscriptions;
-        for (const Subscription& sub : subscribers) {
-          // Skip handlers removed between the copy and this delivery.
-          // Re-read the live list each round: a handler may mutate it (or
-          // grow topics_).
-          const auto& live = topics_[topic.value()].subscriptions;
-          const bool still_subscribed = std::any_of(
-              live.begin(), live.end(),
-              [&](const Subscription& s) { return s.id == sub.id; });
-          if (!still_subscribed) continue;
-          ++delivered_;
-          sub.handler(*message);
-        }
-      },
-      "bus.delivery");
+void MessageBus::schedule_delivery(sim::TimePoint when, std::uint32_t slot) {
+  // Captures: this + slot index = 16 bytes, inside EventFn's inline buffer.
+  // Each delivery event names its own slot, so the race detector may permute
+  // same-time deliveries without handing one of them the wrong message.
+  sim_.schedule_at(when, [this, slot] { deliver(slot); }, "bus.delivery");
+}
+
+void MessageBus::deliver(std::uint32_t slot) {
+  // Copy out and release first: a handler may publish, which can reuse this
+  // slot or grow slots_.
+  const BusMessage message = slots_[slot].message;
+  if (--slots_[slot].pending == 0) free_slots_.push_back(slot);
+  fan_out(message);
+}
+
+void MessageBus::fan_out(const BusMessage& message) {
+  // Handlers may (un)subscribe or intern topics re-entrantly, so the live
+  // list is re-read after every call.  It stays in ascending id order, so
+  // the next subscriber to call is the first one past the id just called,
+  // and the walk stops at the last id present when the fan-out began: late
+  // subscribers wait for the next message, removed ones are never reached.
+  const auto& initial = topics_[message.topic.value()].subscriptions;
+  if (initial.empty()) return;
+  const SubscriptionId last = initial.back().id;
+  SubscriptionId next = initial.front().id;
+  for (;;) {
+    const auto& live = topics_[message.topic.value()].subscriptions;
+    const auto it = std::lower_bound(
+        live.begin(), live.end(), next,
+        [](const Subscription& s, SubscriptionId id) { return s.id < id; });
+    if (it == live.end() || it->id > last) return;
+    next = SubscriptionId{it->id.value() + 1};
+    // Own a reference for the call: the handler may unsubscribe itself.
+    const std::shared_ptr<const BusHandler> handler = it->handler;
+    ++delivered_;
+    (*handler)(message);
+  }
 }
 
 void MessageBus::attach_shard(sim::LogicalProcess& lp) {
@@ -202,31 +226,16 @@ void MessageBus::bridge_topic(const std::string& topic, MessageBus& remote,
   bridge_topic(intern(topic), remote, remote.intern(remote_topic), latency);
 }
 
-void MessageBus::deliver_bridged(TopicId topic, std::string payload) {
+void MessageBus::deliver_bridged(TopicId topic, const BusPayload& payload) {
   if (!topic.valid() || topic.value() >= topics_.size()) {
     throw std::invalid_argument{
         "MessageBus::deliver_bridged: unknown topic id"};
   }
   Topic& state = topics_[topic.value()];
-  BusMessage message;
-  message.topic = std::string{names_.view(topic.value())};
-  message.payload = std::move(payload);
-  message.offset = state.next_offset++;
-  message.published = sim_.now();
+  const BusMessage message{topic, payload, state.next_offset++, sim_.now()};
   state.last_delivery = std::max(state.last_delivery, sim_.now());
   ++bridged_in_;
-  // Same re-entrancy discipline as the local delivery closure: handlers may
-  // (un)subscribe while we iterate a copy.
-  const std::vector<Subscription> subscribers = state.subscriptions;
-  for (const Subscription& sub : subscribers) {
-    const auto& live = topics_[topic.value()].subscriptions;
-    const bool still_subscribed =
-        std::any_of(live.begin(), live.end(),
-                    [&](const Subscription& s) { return s.id == sub.id; });
-    if (!still_subscribed) continue;
-    ++delivered_;
-    sub.handler(message);
-  }
+  fan_out(message);
 }
 
 std::size_t MessageBus::subscriber_count(const std::string& topic) const {

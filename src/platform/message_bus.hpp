@@ -5,17 +5,21 @@
 // communication between the Dispatch Manager and the Dispatch Daemon and
 // also for state management of Xanadu workers").
 //
-// Topics carry opaque string payloads.  Publishing enqueues a delivery event
-// per subscriber after the bus latency (plus optional jitter); per topic,
-// deliveries preserve publish order (Kafka partition semantics).  Handlers
-// run in virtual time, so bus latency is part of every control-plane
-// round-trip that uses it -- notably the Dispatch Manager -> Dispatch Daemon
+// Topics carry typed payloads (platform/bus_payload.hpp): a worker
+// lifecycle event or a provisioning command.  Publishing enqueues one
+// delivery event after the bus latency (plus optional jitter); per topic,
+// deliveries preserve publish order (Kafka partition semantics), and each
+// delivery fans the message out to the topic's subscribers.  Handlers run in
+// virtual time, so bus latency is part of every control-plane round-trip
+// that uses it -- notably the Dispatch Manager -> Dispatch Daemon
 // provisioning commands.
 //
 // Topic names are interned to dense TopicIds on first use: the publish hot
-// path indexes a vector instead of hashing the topic string, and the
-// delivery closure captures an 8-byte id instead of a std::string, which
-// keeps it inside sim::EventFn's inline buffer (no per-delivery allocation).
+// path indexes a vector instead of hashing the topic string.  A published
+// message waits for its delivery in a bus-owned slot that is recycled once
+// delivered, and the delivery closure captures only `this` and the slot
+// index, so it stays inside sim::EventFn's inline buffer: steady-state
+// publishing and delivery allocate nothing.
 //
 // Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
 // shard boundaries: attach_shard() binds the bus to its shard's logical
@@ -29,12 +33,12 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/interner.hpp"
 #include "common/rng.hpp"
+#include "platform/bus_payload.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/shard.hpp"
 #include "sim/simulator.hpp"
@@ -46,9 +50,14 @@ class LogicalProcess;
 
 namespace xanadu::platform {
 
+/// Dense handle for an interned topic name.  Assigned in first-use order,
+/// so ids are deterministic for a deterministic call sequence.
+struct TopicTag {};
+using TopicId = common::Id<TopicTag>;
+
 struct BusMessage {
-  std::string topic;
-  std::string payload;
+  TopicId topic;
+  BusPayload payload;
   /// Monotonic per-topic sequence number (assigned by the bus).
   std::uint64_t offset = 0;
   /// Virtual time the message was published.
@@ -60,11 +69,6 @@ using BusHandler = std::function<void(const BusMessage&)>;
 /// Subscription handle; used to unsubscribe.
 struct SubscriptionTag {};
 using SubscriptionId = common::Id<SubscriptionTag>;
-
-/// Dense handle for an interned topic name.  Assigned in first-use order,
-/// so ids are deterministic for a deterministic call sequence.
-struct TopicTag {};
-using TopicId = common::Id<TopicTag>;
 
 class MessageBus {
  public:
@@ -89,10 +93,11 @@ class MessageBus {
   /// Removes a subscription; returns false if the id is unknown.
   bool unsubscribe(SubscriptionId id);
 
-  /// Publishes a payload; every current subscriber of the topic receives it
-  /// after the bus latency.  Returns the message's per-topic offset.
-  std::uint64_t publish(const std::string& topic, std::string payload);
-  std::uint64_t publish(TopicId topic, std::string payload);
+  /// Publishes a payload; every subscriber of the topic at delivery time
+  /// receives it after the bus latency.  Returns the message's per-topic
+  /// offset.
+  std::uint64_t publish(const std::string& topic, const BusPayload& payload);
+  std::uint64_t publish(TopicId topic, const BusPayload& payload);
 
   /// Wires a fault plan into the bus.  Each publish then consults the plan
   /// once: the message may be dropped (never delivered), duplicated
@@ -126,7 +131,7 @@ class MessageBus {
   /// subscribers at the current virtual time.  Invoked by the bridge closure
   /// once the mailbox merge lands it on this shard; not meant for direct
   /// use.  The message consumes a local per-topic offset.
-  void deliver_bridged(TopicId topic, std::string payload);
+  void deliver_bridged(TopicId topic, const BusPayload& payload);
 
   [[nodiscard]] std::size_t subscriber_count(const std::string& topic) const;
   [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
@@ -141,7 +146,10 @@ class MessageBus {
  private:
   struct Subscription {
     SubscriptionId id;
-    BusHandler handler;
+    /// Shared so a delivery can keep the handler alive while it runs, even
+    /// if the handler unsubscribes itself or a subscribe reallocates the
+    /// list.
+    std::shared_ptr<const BusHandler> handler;
   };
 
   /// One cross-shard forwarding edge of a topic.
@@ -153,6 +161,8 @@ class MessageBus {
   };
 
   struct Topic {
+    /// Ascending id order: ids are issued monotonically and erase keeps the
+    /// order, which fan_out() relies on.
     std::vector<Subscription> subscriptions;
     std::vector<Bridge> bridges;
     std::uint64_t next_offset = 0;
@@ -160,8 +170,23 @@ class MessageBus {
     sim::TimePoint last_delivery{};
   };
 
-  void schedule_delivery(TopicId topic, sim::TimePoint when,
-                         const std::shared_ptr<BusMessage>& message);
+  /// A published message waiting for its delivery events: one, or two for a
+  /// duplicate fault, which shares the slot.  Freed slots are reused, so the
+  /// pool only grows to the peak number of messages in flight.  A delivery
+  /// event that never fires (the simulator is torn down first) just leaves
+  /// its slot unreclaimed.
+  struct Slot {
+    BusMessage message;
+    std::uint32_t pending = 0;
+  };
+
+  void schedule_delivery(sim::TimePoint when, std::uint32_t slot);
+  /// Runs one delivery event: releases the slot, then fans out.
+  void deliver(std::uint32_t slot);
+  /// Calls every subscriber of `message.topic` present when the call
+  /// begins, skipping any unsubscribed by an earlier handler of the same
+  /// fan-out.  Shared by local and bridged delivery.
+  void fan_out(const BusMessage& message);
 
   sim::Simulator& sim_;
   Options options_;
@@ -174,6 +199,8 @@ class MessageBus {
   /// only on intern (cold path); publish/delivery index topics_ directly.
   common::StringInterner names_;
   std::vector<Topic> topics_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   common::IdGenerator<SubscriptionId> subscription_ids_;
   std::uint64_t published_ = 0;
   std::uint64_t delivered_ = 0;

@@ -5,10 +5,11 @@
 // Paper Section 4 uses Kafka "also for state management of Xanadu workers":
 // the Dispatch Daemons publish worker lifecycle transitions, and the
 // Dispatch Manager's view of the fleet is whatever has arrived on the bus.
-// This module provides both halves: the event vocabulary the engine
-// publishes on the "workers" topic, and WorkerStateTracker, a subscriber
-// that maintains the eventually-consistent fleet view (counts per state and
-// per function).
+// The event vocabulary the engine publishes on the "workers" topic
+// (WorkerEvent) lives with the other bus payloads in
+// platform/bus_payload.hpp; this module provides WorkerStateTracker, a
+// subscriber that maintains the eventually-consistent fleet view (counts per
+// state and per function).
 //
 // The tracker deliberately lags reality by the bus latency -- tests assert
 // exactly that -- mirroring the consistency model a real Kafka-backed
@@ -19,35 +20,19 @@
 #include <unordered_map>
 
 #include "common/ids.hpp"
+#include "platform/bus_payload.hpp"
 #include "platform/message_bus.hpp"
 
 namespace xanadu::platform {
 
-enum class WorkerEventKind : std::uint8_t {
-  Provisioning,  // Sandbox build started.
-  Ready,         // Build finished; worker warm.
-  Busy,          // Executing a request.
-  Idle,          // Finished executing; back to warm.
-  Dead,          // Terminated (keep-alive expiry, eviction, miss discard).
-};
-
-[[nodiscard]] const char* to_string(WorkerEventKind kind);
-
-struct WorkerEvent {
-  WorkerEventKind kind = WorkerEventKind::Provisioning;
-  common::WorkerId worker{};
-  common::FunctionId function{};
-  common::HostId host{};
-};
-
 /// Topic the engine publishes worker events on.
 inline constexpr const char* kWorkerStateTopic = "workers";
 
-/// Serialises an event to the bus payload format ("kind:worker:fn:host").
-[[nodiscard]] std::string encode(const WorkerEvent& event);
-
-/// Parses a payload; throws std::invalid_argument on malformed input.
-[[nodiscard]] WorkerEvent decode(const std::string& payload);
+/// Returns `event` as a bus payload.  The bus carries typed payloads, so
+/// there is nothing left to encode; this stays because the benchmark's
+/// bus-publish timing loop (perfbench/traced.cpp) publishes through it and
+/// must keep building unchanged across commits it compares.
+[[nodiscard]] inline BusPayload encode(const WorkerEvent& event) { return event; }
 
 /// Subscribes to the worker-state topic and maintains the fleet view.
 class WorkerStateTracker {

@@ -18,6 +18,7 @@
 #include "core/dispatch_manager.hpp"
 #include "core/metadata_store.hpp"
 #include "metrics/trace.hpp"
+#include "platform/worker_state.hpp"
 #include "sim/audit.hpp"
 #include "workflow/builders.hpp"
 
@@ -190,6 +191,43 @@ TEST(determinism, FaultedRunSameSeedSameDigest) {
   // engine setup.
   EXPECT_EQ(metrics::digest_hex(faulted_digest(42)), "ac86df31b658c914");
   EXPECT_EQ(metrics::digest_hex(faulted_digest(7)), "1e879155d145937d");
+}
+
+TEST(determinism, GoldenBusDigestGuard) {
+  // The control bus under every bus fault class -- drop, duplicate and
+  // delay -- with a WorkerStateTracker consuming the worker-state topic.
+  // FaultedRunSameSeedSameDigest covers drop and delay only, and nothing
+  // there subscribes to the worker-state topic, so duplicate redelivery and
+  // tracker fan-out are pinned here.  Pins the trace digest, the event
+  // count, the bus counters and the tracker's fleet view.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduSpeculative;
+  options.seed = 42;
+  platform::PlatformCalibration calibration = platform::xanadu_calibration();
+  calibration.control_bus.enabled = true;
+  options.calibration = calibration;
+  options.faults.bus_drop_rate = 0.1;
+  options.faults.bus_duplicate_rate = 0.2;
+  options.faults.bus_delay_rate = 0.2;
+  DispatchManager manager{options};
+  platform::WorkerStateTracker tracker{*manager.engine().control_bus()};
+  const workflow::WorkflowDag dag = conditional_dag();
+  const auto wf = manager.deploy(conditional_dag());
+  std::vector<RequestResult> results;
+  for (int i = 0; i < 8; ++i) results.push_back(manager.invoke(wf));
+  manager.idle_for(sim::Duration::from_seconds(1));
+
+  // Pinned on the string-payload bus, before payloads became typed; the
+  // typed bus must reproduce every value.  More deliveries than surviving
+  // publishes (115 > 108 - 10) shows duplicates were redelivered.
+  const platform::MessageBus& bus = *manager.engine().control_bus();
+  EXPECT_EQ(metrics::digest_hex(trace_digest(results, dag)),
+            "482471815fc42a59");
+  EXPECT_EQ(manager.simulator().events_fired(), 206u);
+  EXPECT_EQ(bus.published_count(), 108u);
+  EXPECT_EQ(bus.delivered_count(), 115u);
+  EXPECT_EQ(bus.dropped_count(), 10u);
+  EXPECT_EQ(tracker.live_count(), 6u);
 }
 
 // ---------------------------------------------------------------------------
