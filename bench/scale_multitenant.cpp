@@ -10,14 +10,6 @@
 // baseline and the Xanadu JIT presets, using workload::TrafficMix /
 // run_mixed_schedule for the deterministic merge.
 //
-// A third preset group records the sharded thread curve: the same three
-// tenants, each on its own DispatchManager shard with the control bus
-// bridged to a fleet shard, drained by the conservative parallel driver
-// (workload::run_sharded_mix) at threads 1/2/4.  Per-source digests must be
-// byte-identical across the curve; `threads` / `speedup_vs_one_thread` and
-// the document-level `hardware_concurrency` make curves from different
-// machines comparable.
-//
 // Self-checks (always on):
 //   * per-workflow request conservation: every source gets exactly one
 //     result per arrival, with zero failures,
@@ -35,10 +27,8 @@
 // The emitted BENCH_multitenant.json schema is documented in EXPERIMENTS.md
 // ("BENCH_multitenant.json schema").
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,7 +37,6 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "metrics/trace.hpp"
-#include "platform/calibration.hpp"
 #include "workflow/random_tree.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/case_studies.hpp"
@@ -71,10 +60,6 @@ struct SourceResult {
 struct PresetResult {
   std::string name;
   std::string platform;
-  unsigned threads = 1;  // OS threads used; 1 for the single-manager presets.
-  // events/s relative to the sharded curve's threads=1 point (1.0 outside
-  // the curve -- the single-manager presets have no curve to scale on).
-  double speedup_vs_one_thread = 1.0;
   std::size_t requests = 0;
   std::uint64_t events_fired = 0;
   double wall_seconds = 0.0;
@@ -174,89 +159,10 @@ PresetResult run_preset(core::PlatformKind kind, const MixScale& scale,
   return result;
 }
 
-/// The sharded counterpart of run_preset: one DispatchManager per tenant
-/// (all Xanadu JIT, control bus bridged to the fleet shard), per-tenant
-/// Poisson arrivals at a third of the aggregate rate, drained by the
-/// conservative parallel driver at `threads` OS threads.
-PresetResult run_sharded_preset(const MixScale& scale, std::uint64_t seed,
-                                unsigned threads) {
-  const std::vector<workflow::WorkflowDag> dags = tenant_dags();
-  const char* names[] = {"ecommerce", "image-pipeline", "random-tree"};
-
-  std::vector<std::unique_ptr<core::DispatchManager>> managers;
-  std::vector<workload::ShardedSource> shards;
-  for (std::size_t tenant = 0; tenant < dags.size(); ++tenant) {
-    core::DispatchManagerOptions options;
-    options.kind = core::PlatformKind::XanaduJit;
-    options.seed = seed + 1000 * tenant;
-    platform::PlatformCalibration calibration = platform::xanadu_calibration();
-    calibration.control_bus.enabled = true;
-    options.calibration = calibration;
-    auto manager = std::make_unique<core::DispatchManager>(options);
-
-    workload::ShardedSource source;
-    source.manager = manager.get();
-    source.workflow = manager->deploy(dags[tenant]);
-    bench::train_profiles(*manager, source.workflow, 2);
-    source.name = names[tenant];
-    common::Rng arrivals_rng{(seed ^ 0x0ddba11ULL) + tenant};
-    source.schedule = workload::poisson(
-        scale.mean_gap * 3.0, scale.horizon, arrivals_rng);
-    if (source.schedule.empty()) {
-      source.schedule = workload::fixed_interval(4, scale.mean_gap * 3.0);
-    }
-    shards.push_back(std::move(source));
-    managers.push_back(std::move(manager));
-  }
-
-  workload::RunOptions options;
-  options.retain_results = false;
-  options.threads = threads;
-  const auto start = bench::WallClock::now();
-  const workload::ShardedOutcome outcome =
-      workload::run_sharded_mix(shards, options);
-  const double wall = bench::seconds_since(start);
-  double virtual_span = 0.0;
-  for (const std::unique_ptr<core::DispatchManager>& manager : managers) {
-    virtual_span = std::max(virtual_span, manager->simulator().now().seconds());
-  }
-
-  PresetResult result;
-  result.platform = "xanadu-jit";
-  result.name = "xanadu-jit_sharded_t" + std::to_string(threads);
-  result.threads = threads;
-  result.events_fired = outcome.events_fired;
-  result.wall_seconds = wall;
-  result.events_per_sec =
-      wall > 0.0 ? static_cast<double>(outcome.events_fired) / wall : 0.0;
-  result.virtual_seconds = virtual_span;
-  result.speedup_virtual_over_wall = wall > 0.0 ? virtual_span / wall : 0.0;
-  result.rss_peak_mib = bench::peak_rss_mib();
-  result.completed = outcome.mixed.aggregate.completed_count();
-  result.failed = outcome.mixed.aggregate.failed_count();
-  for (std::size_t s = 0; s < outcome.mixed.per_source.size(); ++s) {
-    const workload::RunOutcome& src = outcome.mixed.per_source[s];
-    SourceResult sr;
-    sr.name = outcome.mixed.source_names[s];
-    sr.requests = shards[s].schedule.size();
-    sr.completed = src.completed_count();
-    sr.failed = src.failed_count();
-    sr.mean_overhead_ms = src.mean_overhead_ms();
-    sr.mean_end_to_end_ms = src.mean_end_to_end_ms();
-    sr.mean_cold_starts = src.mean_cold_starts();
-    sr.digest = metrics::digest_hex(src.trace_digest);
-    result.requests += sr.requests;
-    result.sources.push_back(std::move(sr));
-  }
-  return result;
-}
-
 common::JsonValue to_json(const PresetResult& r) {
   common::JsonObject o;
   o.set("name", r.name);
   o.set("platform", r.platform);
-  o.set("threads", static_cast<double>(r.threads));
-  o.set("speedup_vs_one_thread", r.speedup_vs_one_thread);
   o.set("requests", static_cast<double>(r.requests));
   o.set("events_fired", static_cast<double>(r.events_fired));
   o.set("wall_seconds", r.wall_seconds);
@@ -338,22 +244,6 @@ int main(int argc, char** argv) {
     print_result(results.back());
   }
 
-  // Sharded thread curve: one shard per tenant + the fleet shard, drained at
-  // 1/2/4 threads.  The threads=1 point anchors the speedups.
-  std::vector<std::size_t> curve_index;
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    PresetResult point = run_sharded_preset(scale, /*seed=*/42, threads);
-    if (threads > 1) {
-      const PresetResult& base = results[curve_index.front()];
-      point.speedup_vs_one_thread =
-          base.events_per_sec > 0.0 ? point.events_per_sec / base.events_per_sec
-                                    : 0.0;
-    }
-    curve_index.push_back(results.size());
-    results.push_back(std::move(point));
-    print_result(results.back());
-  }
-
   // Self-checks (always on; --smoke exists so CTest runs them quickly).
   for (const PresetResult& r : results) {
     if (r.sources.size() < 3) fail("fewer than 3 concurrent workflows");
@@ -383,36 +273,16 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // Thread-count invariance across the sharded curve: every point must
-  // reproduce the sequential point's per-source digests bit-for-bit.
-  {
-    const PresetResult& base = results[curve_index.front()];
-    for (const std::size_t i : curve_index) {
-      const PresetResult& point = results[i];
-      if (point.sources.size() != base.sources.size()) {
-        fail("sharded curve lost a tenant lane");
-      }
-      for (std::size_t s = 0; s < base.sources.size(); ++s) {
-        if (point.sources[s].digest != base.sources[s].digest) {
-          fail("sharded curve digest varies with thread count");
-        }
-      }
-      if (point.events_fired != base.events_fired) {
-        fail("sharded curve event count varies with thread count");
-      }
-    }
-  }
   std::printf("  self-checks: OK\n");
 
   common::JsonArray presets;
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.multitenant/v2",
+          json_path, "xanadu.bench.multitenant/v3",
           "weighted Poisson mix (ecommerce 3 : image-pipeline 5 : "
           "random-tree 2), seed 42; per-preset aggregate rate = 1 request "
-          "per mean gap across all tenants; sharded curve: one shard per "
-          "tenant + fleet shard, per-tenant gap = 3x mean gap, threads 1/2/4",
+          "per mean gap across all tenants",
           std::move(presets),
           {{"hardware_concurrency",
             static_cast<double>(std::thread::hardware_concurrency())}})) {

@@ -1,22 +1,13 @@
 // Simulator scale-throughput benchmark: the first point on the repo's
 // recorded performance trajectory (BENCH_scale.json).
 //
-// Three families of presets:
+// Two families of presets:
 //
 //   * macro replay -- Poisson arrival schedules (10k / 100k / 1M requests)
 //     replayed through full platform presets (Knative-like baseline and
 //     Xanadu JIT), the same open-loop macro shape as the paper's 16 h traces
 //     (Figures 6-8).  Reports wall-clock events/sec over the whole replay,
 //     the virtual-to-wall speedup, and peak RSS.
-//
-//   * sharded thread curve -- the same 100k macro replay split across four
-//     tenant shards (each its own DispatchManager with the control bus
-//     bridged to a fleet shard) and drained by the conservative parallel
-//     driver at threads 1/2/4/8.  One preset per thread count; digests must
-//     be byte-identical across the curve (thread count buys wall-clock time
-//     only), and `speedup_vs_one_thread` records the scaling.  The emitted
-//     `threads` / document-level `hardware_concurrency` fields keep curves
-//     from different machines comparable.
 //
 //   * queue hot path -- raw Simulator churn with no platform on top:
 //     a sliding window of pending events where every fired event schedules a
@@ -53,7 +44,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,10 +53,9 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "metrics/trace.hpp"
-#include "platform/calibration.hpp"
 #include "sim/simulator.hpp"
 #include "workload/arrivals.hpp"
-#include "workload/traffic_mix.hpp"
+#include "workload/runner.hpp"
 
 namespace {
 
@@ -78,12 +67,8 @@ using bench::seconds_since;
 
 struct PresetResult {
   std::string name;
-  std::string family;  // "macro" | "sharded" | "queue"
+  std::string family;  // "macro" | "queue"
   std::string platform;
-  unsigned threads = 1;  // OS threads used; 1 for the sequential families.
-  // events/s relative to this curve's threads=1 point (1.0 outside the
-  // sharded family -- the sequential families have no curve to scale on).
-  double speedup_vs_one_thread = 1.0;
   std::size_t requests = 0;        // macro: request count; queue: op target
   std::uint64_t events_fired = 0;  // simulator events fired during the run
   std::uint64_t queue_ops = 0;     // schedules + cancels + fires
@@ -160,87 +145,6 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
   result.completed = outcome.completed_count();
   result.failed = outcome.failed_count();
   result.digest = metrics::digest_hex(outcome.trace_digest);
-  return result;
-}
-
-/// The sharded scenario behind the thread curve: `requests` total arrivals
-/// split evenly across four tenant shards, each a full Xanadu JIT
-/// DispatchManager (own simulator/cluster/engine) replaying the same 4-node
-/// chain as the macro presets.  The control bus is enabled so worker
-/// telemetry bridges into the fleet shard -- the curve measures the real
-/// cross-shard drain, not four independent simulators side by side.
-struct ShardedScenario {
-  std::vector<std::unique_ptr<core::DispatchManager>> managers;
-  std::vector<workload::ShardedSource> shards;
-};
-
-ShardedScenario make_sharded_scenario(std::size_t requests,
-                                      std::uint64_t seed) {
-  constexpr std::size_t kTenants = 4;
-  ShardedScenario scenario;
-  for (std::size_t tenant = 0; tenant < kTenants; ++tenant) {
-    core::DispatchManagerOptions options;
-    options.kind = core::PlatformKind::XanaduJit;
-    options.seed = seed + 1000 * tenant;
-    platform::PlatformCalibration calibration = platform::xanadu_calibration();
-    calibration.control_bus.enabled = true;
-    options.calibration = calibration;
-    auto manager = std::make_unique<core::DispatchManager>(options);
-
-    workload::ShardedSource source;
-    source.manager = manager.get();
-    source.workflow = manager->deploy(
-        workflow::linear_chain(4, bench::chain_options(5.0)));
-    bench::train_profiles(*manager, source.workflow, 2);
-    source.name = "tenant-" + std::to_string(tenant);
-    common::Rng arrivals_rng{(seed ^ 0x5ca1ab1eULL) + tenant};
-    source.schedule = poisson_exact(requests / kTenants,
-                                    sim::Duration::from_millis(20),
-                                    arrivals_rng);
-    scenario.shards.push_back(std::move(source));
-    scenario.managers.push_back(std::move(manager));
-  }
-  return scenario;
-}
-
-PresetResult run_sharded(std::size_t requests, unsigned threads,
-                         std::uint64_t seed) {
-  ShardedScenario scenario = make_sharded_scenario(requests, seed);
-  std::size_t scheduled = 0;
-  for (const workload::ShardedSource& source : scenario.shards) {
-    scheduled += source.schedule.size();
-  }
-
-  workload::RunOptions options;
-  options.retain_results = false;
-  options.threads = threads;
-  const auto start = Clock::now();
-  const workload::ShardedOutcome outcome =
-      workload::run_sharded_mix(scenario.shards, options);
-  const double wall = seconds_since(start);
-  double virtual_span = 0.0;
-  for (const std::unique_ptr<core::DispatchManager>& manager :
-       scenario.managers) {
-    virtual_span = std::max(virtual_span, manager->simulator().now().seconds());
-  }
-
-  PresetResult result;
-  result.family = "sharded";
-  result.platform = "xanadu-jit";
-  result.name = "sharded_" + std::to_string(requests / 1000) + "k_t" +
-                std::to_string(threads);
-  result.threads = threads;
-  result.requests = scheduled;
-  result.events_fired = outcome.events_fired;
-  result.wall_seconds = wall;
-  result.events_per_sec =
-      wall > 0.0 ? static_cast<double>(outcome.events_fired) / wall : 0.0;
-  result.virtual_seconds = virtual_span;
-  result.speedup_virtual_over_wall = wall > 0.0 ? virtual_span / wall : 0.0;
-  result.rss_peak_mib = peak_rss_mib();
-  result.completed = outcome.mixed.aggregate.completed_count();
-  result.failed = outcome.mixed.aggregate.failed_count();
-  result.digest = metrics::digest_hex(outcome.mixed.aggregate.trace_digest);
   return result;
 }
 
@@ -337,8 +241,6 @@ common::JsonValue to_json(const PresetResult& r) {
   o.set("name", r.name);
   o.set("family", r.family);
   o.set("platform", r.platform);
-  o.set("threads", static_cast<double>(r.threads));
-  o.set("speedup_vs_one_thread", r.speedup_vs_one_thread);
   o.set("requests", static_cast<double>(r.requests));
   o.set("events_fired", static_cast<double>(r.events_fired));
   o.set("queue_ops", static_cast<double>(r.queue_ops));
@@ -425,31 +327,12 @@ int main(int argc, char** argv) {
                                 /*seed=*/42, /*arrival_window=*/8192));
     print_result(results.back());
   }
-  // Sharded thread curve: the conservative parallel drain over the same
-  // request volume as the largest default macro preset.  The threads=1 point
-  // is the sequential reference the speedups are measured against.
-  const std::size_t sharded_requests = smoke ? 2'000 : 100'000;
-  std::vector<std::size_t> curve_index;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    PresetResult point = run_sharded(sharded_requests, threads, /*seed=*/42);
-    if (threads > 1) {
-      const PresetResult& base = results[curve_index.front()];
-      point.speedup_vs_one_thread =
-          base.events_per_sec > 0.0 ? point.events_per_sec / base.events_per_sec
-                                    : 0.0;
-    }
-    curve_index.push_back(results.size());
-    results.push_back(std::move(point));
-    print_result(results.back());
-  }
-
   results.push_back(run_queue_hotpath(smoke ? 100'000 : 2'000'000));
   print_result(results.back());
 
   // Self-checks (always on; --smoke exists so CTest runs them quickly).
   for (const PresetResult& r : results) {
-    if (r.threads == 0) fail("a preset recorded zero threads");
-    if (r.family == "macro" || r.family == "sharded") {
+    if (r.family == "macro") {
       if (r.completed != r.requests) fail("macro preset lost requests");
       if (r.failed != 0) fail("macro preset had failed requests");
       if (r.digest.empty() || r.digest == metrics::digest_hex(0)) {
@@ -475,22 +358,6 @@ int main(int argc, char** argv) {
         run_macro(core::PlatformKind::KnativeLike, first.requests, 42);
     if (again.digest != first.digest) fail("macro replay digest diverged");
   }
-  // Thread-count invariance across the sharded curve: every point must
-  // reproduce the sequential point's digest, event count and request
-  // accounting bit-for-bit -- thread count buys wall-clock time only.
-  {
-    const PresetResult& base = results[curve_index.front()];
-    for (const std::size_t i : curve_index) {
-      const PresetResult& point = results[i];
-      if (point.digest != base.digest) {
-        fail("sharded curve digest varies with thread count");
-      }
-      if (point.events_fired != base.events_fired ||
-          point.completed != base.completed) {
-        fail("sharded curve event accounting varies with thread count");
-      }
-    }
-  }
   std::printf("  self-checks: OK\n");
 
   if (rss_gate_mib > 0.0) {
@@ -509,11 +376,10 @@ int main(int argc, char** argv) {
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.scale/v3",
+          json_path, "xanadu.bench.scale/v4",
           "4-node linear chain, 5 ms exec, Poisson arrivals (20 ms mean "
-          "gap), seed 42; sharded curve: same volume over 4 tenant shards + "
-          "fleet shard, threads 1/2/4/8; queue hot path: window-256 "
-          "self-scheduling churn, 50% late-cancelled decoys",
+          "gap), seed 42; queue hot path: window-256 self-scheduling "
+          "churn, 50% late-cancelled decoys",
           std::move(presets),
           {{"hardware_concurrency",
             static_cast<double>(std::thread::hardware_concurrency())}})) {

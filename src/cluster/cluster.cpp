@@ -153,17 +153,6 @@ void Cluster::set_host_available(HostId id, bool available) {
   hosts_[id.value()].set_available(available);
 }
 
-void Cluster::assign_shard(sim::ShardId shard) {
-  for (Host& host : hosts_) host.set_shard(shard);
-}
-
-sim::ShardId Cluster::host_shard(HostId id) const {
-  if (!id.valid() || id.value() >= hosts_.size()) {
-    throw std::invalid_argument{"Cluster::host_shard: bad host id"};
-  }
-  return hosts_[id.value()].shard();
-}
-
 std::vector<WorkerId> Cluster::workers_on_host(HostId host) const {
   std::vector<WorkerId> ids;
   // Sorted below: the worker table is unordered, but teardown order is

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/ids.hpp"
-#include "sim/shard.hpp"
 
 namespace xanadu::cluster {
 
@@ -32,13 +31,6 @@ class Host {
   /// killed by the outage release resources through the normal paths.
   [[nodiscard]] bool available() const { return available_; }
   void set_available(bool available) { available_ = available; }
-
-  /// Shard affinity for the parallel drain (sim/sharded.hpp): every host of
-  /// a deployment is pinned to the shard whose logical process runs that
-  /// deployment, so all events touching this host's state fire on one
-  /// thread.  kNoShard in unsharded runs.
-  [[nodiscard]] sim::ShardId shard() const { return shard_; }
-  void set_shard(sim::ShardId shard) { shard_ = shard; }
 
   /// Reserves memory for a new worker; returns false if it does not fit.
   [[nodiscard]] bool try_reserve_memory(double mb) {
@@ -72,7 +64,6 @@ class Host {
   double memory_used_mb_ = 0.0;
   unsigned inflight_provisions_ = 0;
   bool available_ = true;
-  sim::ShardId shard_ = sim::kNoShard;
 };
 
 }  // namespace xanadu::cluster

@@ -71,9 +71,9 @@ namespace xanadu::common::rng_trace {
 
 namespace {
 
-/// Global interned draw-site set.  Guarded by site_mutex(): the sharded
-/// drain (sim/sharded.hpp) runs shard-local Rngs on worker threads, and the
-/// rng-trace CI job exercises those tests too.
+/// Global interned draw-site set.  Guarded by site_mutex(): independent
+/// simulations may draw from their own Rngs on separate threads of one
+/// process.
 std::set<std::string>& site_set() {
   static std::set<std::string> sites;
   return sites;

@@ -36,44 +36,6 @@ void RunStats::consume(const platform::RequestResult& result) {
   welford_m2 += delta * (overhead_ms - welford_mean);
 }
 
-void RunStats::merge(const RunStats& other) {
-  if (other.total == 0) return;
-  if (total == 0) {
-    const sim::Duration own_threshold = threshold;
-    *this = other;
-    threshold = own_threshold;
-    if (threshold != other.threshold) {
-      throw std::invalid_argument{"RunStats::merge: threshold mismatch"};
-    }
-    return;
-  }
-  if (threshold != other.threshold) {
-    throw std::invalid_argument{"RunStats::merge: threshold mismatch"};
-  }
-  // Chan's parallel Welford update, before the counts change.
-  const double na = static_cast<double>(completed());
-  const double nb = static_cast<double>(other.completed());
-  if (nb > 0.0) {
-    if (na == 0.0) {
-      welford_mean = other.welford_mean;
-      welford_m2 = other.welford_m2;
-    } else {
-      const double delta = other.welford_mean - welford_mean;
-      const double n = na + nb;
-      welford_m2 += other.welford_m2 + delta * delta * na * nb / n;
-      welford_mean += delta * nb / n;
-    }
-  }
-  total += other.total;
-  failed += other.failed;
-  sum_overhead_ms += other.sum_overhead_ms;
-  sum_end_to_end_ms += other.sum_end_to_end_ms;
-  sum_cold_starts += other.sum_cold_starts;
-  sum_workers += other.sum_workers;
-  sum_missed_nodes += other.sum_missed_nodes;
-  over_threshold += other.over_threshold;
-}
-
 // -- LatencyHistogram -------------------------------------------------------
 
 LatencyHistogram::LatencyHistogram(double bin_width_ms, std::size_t bins)
@@ -94,20 +56,6 @@ void LatencyHistogram::record(double value_ms) {
     return;
   }
   ++counts_[static_cast<std::size_t>(scaled)];
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  if (other.count_ == 0) return;
-  if (bin_width_ms_ != other.bin_width_ms_ ||
-      counts_.size() != other.counts_.size()) {
-    throw std::invalid_argument{"LatencyHistogram::merge: shape mismatch"};
-  }
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    counts_[bin] += other.counts_[bin];
-  }
-  count_ += other.count_;
-  overflow_ += other.overflow_;
-  max_recorded_ms_ = std::max(max_recorded_ms_, other.max_recorded_ms_);
 }
 
 double LatencyHistogram::quantile_ms(double q) const {

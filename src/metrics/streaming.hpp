@@ -87,13 +87,6 @@ struct RunStats {
 
   void consume(const platform::RequestResult& result);
 
-  /// Folds another lane's sums into this one (Chan's parallel-Welford update
-  /// for the variance accumulator).  Thresholds must match.  Used by the
-  /// sharded runner to combine per-shard lanes in shard order -- the merge
-  /// is pure arithmetic over the operands, so it is deterministic for a
-  /// deterministic merge order.
-  void merge(const RunStats& other);
-
   [[nodiscard]] std::uint64_t completed() const { return total - failed; }
   [[nodiscard]] double completion_rate() const {
     if (total == 0) return 1.0;
@@ -141,10 +134,6 @@ class LatencyHistogram {
   LatencyHistogram(double bin_width_ms, std::size_t bins);
 
   void record(double value_ms);
-
-  /// Adds another histogram's counts bin-by-bin.  Shapes (bin width and bin
-  /// count) must match.
-  void merge(const LatencyHistogram& other);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }

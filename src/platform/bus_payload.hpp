@@ -9,7 +9,7 @@
 // over plain structs and subscribers read fields, so there is no text
 // encoding, no parser and no malformed-payload failure mode.  The variant is
 // trivially copyable and 40 bytes, which lets a message live in a recycled
-// bus slot and a bridged payload ride inside a sim::EventFn capture.
+// bus slot.
 
 #include <cstdint>
 #include <variant>

@@ -5,13 +5,9 @@
 #include <memory>
 #include <type_traits>
 
-#include "sim/logical_process.hpp"
-#include "sim/sharded.hpp"
-
 namespace xanadu::platform {
 
-// Slots copy messages by value and the bridge closure carries the payload
-// inline (see publish), both of which assume a small, trivially copyable
+// Slots copy messages by value, which assumes a small, trivially copyable
 // payload.
 static_assert(std::is_trivially_copyable_v<BusMessage>);
 static_assert(sizeof(BusPayload) <= 40);
@@ -88,21 +84,6 @@ std::uint64_t MessageBus::publish(TopicId topic, const BusPayload& payload) {
     return offset;
   }
 
-  // Cross-shard fan-out: a copy of the payload crosses the mailbox and is
-  // handed to the remote bus after the bridge latency.  The closure is
-  // pointer + TopicId + BusPayload = 56 bytes, exactly EventFn's inline
-  // buffer, so it crosses the mailbox without allocating.
-  for (const Bridge& bridge : state.bridges) {
-    MessageBus* const remote = bridge.remote;
-    const TopicId remote_topic = bridge.remote_topic;
-    lp_->send(bridge.target, sim_.now() + bridge.latency,
-              [remote, remote_topic, payload] {
-                remote->deliver_bridged(remote_topic, payload);
-              },
-              "bus.bridge");
-    ++bridged_out_;
-  }
-
   double delay_ms = options_.latency.millis();
   if (options_.jitter > sim::Duration::zero()) {
     // Shared bus stream is deliberate: publishes happen in a fixed serial
@@ -152,14 +133,11 @@ void MessageBus::deliver(std::uint32_t slot) {
   // slot or grow slots_.
   const BusMessage message = slots_[slot].message;
   if (--slots_[slot].pending == 0) free_slots_.push_back(slot);
-  fan_out(message);
-}
 
-void MessageBus::fan_out(const BusMessage& message) {
   // Handlers may (un)subscribe or intern topics re-entrantly, so the live
   // list is re-read after every call.  It stays in ascending id order, so
   // the next subscriber to call is the first one past the id just called,
-  // and the walk stops at the last id present when the fan-out began: late
+  // and the walk stops at the last id present when the delivery began: late
   // subscribers wait for the next message, removed ones are never reached.
   const auto& initial = topics_[message.topic.value()].subscriptions;
   if (initial.empty()) return;
@@ -177,65 +155,6 @@ void MessageBus::fan_out(const BusMessage& message) {
     ++delivered_;
     (*handler)(message);
   }
-}
-
-void MessageBus::attach_shard(sim::LogicalProcess& lp) {
-  if (&lp.simulator() != &sim_) {
-    throw std::logic_error{
-        "MessageBus::attach_shard: the logical process must own this bus's "
-        "simulator"};
-  }
-  lp_ = &lp;
-}
-
-void MessageBus::bridge_topic(TopicId topic, MessageBus& remote,
-                              TopicId remote_topic, sim::Duration latency) {
-  if (!topic.valid() || topic.value() >= topics_.size()) {
-    throw std::invalid_argument{"MessageBus::bridge_topic: unknown topic id"};
-  }
-  if (!remote_topic.valid() ||
-      remote_topic.value() >= remote.topics_.size()) {
-    throw std::invalid_argument{
-        "MessageBus::bridge_topic: unknown remote topic id"};
-  }
-  if (lp_ == nullptr || remote.lp_ == nullptr) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: both buses must be attached to shards"};
-  }
-  if (&remote == this || remote.lp_->shard() == lp_->shard()) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: the remote bus must live on another shard"};
-  }
-  if (&remote.lp_->owner() != &lp_->owner()) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: shards belong to different drivers"};
-  }
-  if (latency < lp_->owner().lookahead()) {
-    // A faster-than-lookahead link would let a message land inside the
-    // window the fleet is concurrently draining.
-    throw std::invalid_argument{
-        "MessageBus::bridge_topic: latency below the driver's lookahead"};
-  }
-  topics_[topic.value()].bridges.push_back(
-      Bridge{&remote, remote_topic, remote.lp_->shard(), latency});
-}
-
-void MessageBus::bridge_topic(const std::string& topic, MessageBus& remote,
-                              const std::string& remote_topic,
-                              sim::Duration latency) {
-  bridge_topic(intern(topic), remote, remote.intern(remote_topic), latency);
-}
-
-void MessageBus::deliver_bridged(TopicId topic, const BusPayload& payload) {
-  if (!topic.valid() || topic.value() >= topics_.size()) {
-    throw std::invalid_argument{
-        "MessageBus::deliver_bridged: unknown topic id"};
-  }
-  Topic& state = topics_[topic.value()];
-  const BusMessage message{topic, payload, state.next_offset++, sim_.now()};
-  state.last_delivery = std::max(state.last_delivery, sim_.now());
-  ++bridged_in_;
-  fan_out(message);
 }
 
 std::size_t MessageBus::subscriber_count(const std::string& topic) const {

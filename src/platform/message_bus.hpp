@@ -20,14 +20,6 @@
 // delivered, and the delivery closure captures only `this` and the slot
 // index, so it stays inside sim::EventFn's inline buffer: steady-state
 // publishing and delivery allocate nothing.
-//
-// Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
-// shard boundaries: attach_shard() binds the bus to its shard's logical
-// process, and bridge_topic() forwards every publish on a local topic to a
-// topic of a bus on another shard, routed through the cross-shard mailbox
-// with a latency of at least the driver's lookahead.  Bridged traffic is how
-// per-tenant shards feed the fleet-control shard's worker-state view without
-// sharing any mutable state.
 
 #include <cstdint>
 #include <functional>
@@ -40,13 +32,8 @@
 #include "common/rng.hpp"
 #include "platform/bus_payload.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-
-namespace xanadu::sim {
-class LogicalProcess;
-}
 
 namespace xanadu::platform {
 
@@ -105,43 +92,12 @@ class MessageBus {
   /// Pass nullptr to detach.  The plan must outlive the bus.
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
 
-  // -- Cross-shard bridging (see sim/sharded.hpp) ---------------------------
-
-  /// Binds this bus to its shard's logical process; required before
-  /// bridge_topic() in either direction.  `lp` must own this bus's
-  /// simulator and must outlive the bus.
-  void attach_shard(sim::LogicalProcess& lp);
-  [[nodiscard]] bool sharded() const { return lp_ != nullptr; }
-
-  /// Forwards every subsequent publish on `topic` to `remote_topic` of
-  /// `remote`, a bus attached to a *different* shard of the same
-  /// ShardedSimulator.  The copy crosses the shard mailbox and reaches the
-  /// remote bus after `latency`, which must be at least the driver's
-  /// lookahead (the conservative window length).  Drop faults suppress
-  /// forwarding (the broker lost the message); duplicate and delay faults
-  /// stay local-delivery artefacts.  Bridges do not chain: a bridged-in
-  /// message is delivered to the remote topic's subscribers only, never
-  /// re-forwarded.
-  void bridge_topic(TopicId topic, MessageBus& remote, TopicId remote_topic,
-                    sim::Duration latency);
-  void bridge_topic(const std::string& topic, MessageBus& remote,
-                    const std::string& remote_topic, sim::Duration latency);
-
-  /// Delivers a message forwarded from another shard to `topic`'s local
-  /// subscribers at the current virtual time.  Invoked by the bridge closure
-  /// once the mailbox merge lands it on this shard; not meant for direct
-  /// use.  The message consumes a local per-topic offset.
-  void deliver_bridged(TopicId topic, const BusPayload& payload);
-
   [[nodiscard]] std::size_t subscriber_count(const std::string& topic) const;
   [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
   [[nodiscard]] std::uint64_t published_count() const { return published_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_; }
   /// Messages published but never scheduled for delivery (drop faults).
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
-  /// Messages forwarded to / received from bridged topics on other shards.
-  [[nodiscard]] std::uint64_t bridged_out_count() const { return bridged_out_; }
-  [[nodiscard]] std::uint64_t bridged_in_count() const { return bridged_in_; }
 
  private:
   struct Subscription {
@@ -152,19 +108,10 @@ class MessageBus {
     std::shared_ptr<const BusHandler> handler;
   };
 
-  /// One cross-shard forwarding edge of a topic.
-  struct Bridge {
-    MessageBus* remote = nullptr;
-    TopicId remote_topic;
-    sim::ShardId target = sim::kNoShard;
-    sim::Duration latency;
-  };
-
   struct Topic {
     /// Ascending id order: ids are issued monotonically and erase keeps the
-    /// order, which fan_out() relies on.
+    /// order, which deliver() relies on.
     std::vector<Subscription> subscriptions;
-    std::vector<Bridge> bridges;
     std::uint64_t next_offset = 0;
     /// Earliest time the next delivery may fire, per subscriber ordering.
     sim::TimePoint last_delivery{};
@@ -181,19 +128,15 @@ class MessageBus {
   };
 
   void schedule_delivery(sim::TimePoint when, std::uint32_t slot);
-  /// Runs one delivery event: releases the slot, then fans out.
+  /// Runs one delivery event: releases the slot, then calls every
+  /// subscriber of the message's topic present when the delivery begins,
+  /// skipping any unsubscribed by an earlier handler of the same delivery.
   void deliver(std::uint32_t slot);
-  /// Calls every subscriber of `message.topic` present when the call
-  /// begins, skipping any unsubscribed by an earlier handler of the same
-  /// fan-out.  Shared by local and bridged delivery.
-  void fan_out(const BusMessage& message);
 
   sim::Simulator& sim_;
   Options options_;
   common::Rng rng_;
   sim::FaultPlan* faults_ = nullptr;
-  /// Shard binding for cross-shard bridges; nullptr in unsharded runs.
-  sim::LogicalProcess* lp_ = nullptr;
   /// Topic names live in the shared interner (common::StringInterner);
   /// common::Symbol values double as dense indices into topics_.  Touched
   /// only on intern (cold path); publish/delivery index topics_ directly.
@@ -205,8 +148,6 @@ class MessageBus {
   std::uint64_t published_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t bridged_out_ = 0;
-  std::uint64_t bridged_in_ = 0;
 };
 
 }  // namespace xanadu::platform

@@ -4,12 +4,11 @@
 
 namespace xanadu::platform {
 
-WorkerStateTracker::WorkerStateTracker(MessageBus& bus,
-                                       const std::string& topic)
-    : bus_(bus) {
-  subscription_ = bus_.subscribe(topic, [this](const BusMessage& m) {
-    apply(std::get<WorkerEvent>(m.payload));
-  });
+WorkerStateTracker::WorkerStateTracker(MessageBus& bus) : bus_(bus) {
+  subscription_ =
+      bus_.subscribe(kWorkerStateTopic, [this](const BusMessage& m) {
+        apply(std::get<WorkerEvent>(m.payload));
+      });
 }
 
 WorkerStateTracker::~WorkerStateTracker() { bus_.unsubscribe(subscription_); }

@@ -16,7 +16,6 @@
 // control plane has.
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "common/ids.hpp"
@@ -37,12 +36,9 @@ inline constexpr const char* kWorkerStateTopic = "workers";
 /// Subscribes to the worker-state topic and maintains the fleet view.
 class WorkerStateTracker {
  public:
-  /// Subscribes on construction; the bus must outlive the tracker.  `topic`
-  /// defaults to the engine's "workers" topic; the sharded runner's fleet
-  /// view instead listens on one bridged per-shard topic per tracker
-  /// ("fleet.workers.<shard>"), keeping tenants' worker ids apart.
-  explicit WorkerStateTracker(MessageBus& bus,
-                              const std::string& topic = kWorkerStateTopic);
+  /// Subscribes to kWorkerStateTopic on construction; the bus must outlive
+  /// the tracker.
+  explicit WorkerStateTracker(MessageBus& bus);
   ~WorkerStateTracker();
 
   WorkerStateTracker(const WorkerStateTracker&) = delete;

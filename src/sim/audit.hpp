@@ -19,11 +19,11 @@
 //       safe and a post-run summary is the product.
 //
 // Violations land in a process-wide AuditLog (a global keeps the macros
-// usable from any layer above sim/; report() takes a mutex so shards of the
-// parallel drain -- sim/sharded.hpp -- can trip checks concurrently, and
-// healthy runs never touch it).  Each call site is tracked individually, so
-// a hot loop tripping one invariant a million times reports one site with a
-// count, not a million entries.
+// usable from any layer above sim/; report() takes a mutex so independent
+// simulations on separate threads of one process can trip checks
+// concurrently, and healthy runs never touch it).  Each call site is tracked
+// individually, so a hot loop tripping one invariant a million times reports
+// one site with a count, not a million entries.
 
 #include <cstdint>
 #include <mutex>
@@ -69,9 +69,9 @@ class AuditLog {
 
   /// Records a violation (deduplicated by call site).  Called by the macros;
   /// throws InvariantViolation when `fatal` and the mode is FailFast.
-  /// Thread-safe: the parallel drain may report from several shard threads.
-  /// The read accessors are not synchronised -- inspect with the fleet
-  /// quiescent (after run()), which is how every caller uses them.
+  /// Thread-safe: independent simulations may report from several threads.
+  /// The read accessors are not synchronised -- inspect once every run has
+  /// finished, which is how every caller uses them.
   void report(const char* file, int line, const char* condition,
               const std::string& message, bool fatal);
 

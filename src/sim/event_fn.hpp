@@ -7,10 +7,9 @@
 // ([this, request, node, worker_id, ...] is 24-40 bytes), so each schedule
 // paid a heap allocation and each queue sift paid a type-erased move.
 // EventFn widens the inline budget to cover every capture the platform
-// actually schedules (the largest engine site captures five 8-byte values;
-// the bus bridge lambda is a pointer, a TopicId and a 40-byte payload, 56
-// bytes), so the common path never allocates.  Oversized or potentially-throwing-move
-// callables transparently fall back to the heap.
+// actually schedules (the largest engine site captures five 8-byte values,
+// 40 bytes), so the common path never allocates.  Oversized or
+// potentially-throwing-move callables transparently fall back to the heap.
 //
 // Move-only by design: an event callback is invoked at most once from
 // exactly one queue slot, so copyability would only invite accidental
@@ -26,10 +25,11 @@ namespace xanadu::sim {
 
 class EventFn {
  public:
-  /// Inline capture budget.  Chosen to fit the largest lambdas the platform
-  /// schedules: engine.cpp's provision-handoff site (`this` plus four ids,
-  /// 40 bytes) and the bus's cross-shard bridge closure (56 bytes, see
-  /// platform/message_bus.cpp); keeps sizeof(EventFn) at 72 bytes.
+  /// Inline capture budget.  Covers the largest lambda the platform
+  /// schedules, engine.cpp's provision-handoff site (`this` plus four ids,
+  /// 40 bytes), with 16 bytes to spare; sizeof(EventFn) is 72 bytes.
+  /// Shrinking it changes the queue slab's layout, so it is a measured
+  /// change of its own.
   static constexpr std::size_t kInlineCapacity = 56;
 
   EventFn() = default;

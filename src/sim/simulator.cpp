@@ -268,36 +268,6 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
   return fired_now;
 }
 
-std::optional<TimePoint> Simulator::peek_next_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
-    return top.when;
-  }
-  return std::nullopt;
-}
-
-std::size_t Simulator::run_before(TimePoint bound) {
-  std::size_t fired_now = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
-    if (top.when >= bound) break;
-    heap_pop_top();
-    fire_entry(top);
-    ++fired_now;
-  }
-  return fired_now;
-}
-
 std::size_t Simulator::run() { return drain(/*bounded=*/false, TimePoint{}); }
 
 std::size_t Simulator::run_until(TimePoint deadline) {

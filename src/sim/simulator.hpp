@@ -36,7 +36,6 @@
 // top().
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,22 +142,6 @@ class Simulator {
   /// Events at exactly `deadline` are fired.  The clock is advanced to
   /// `deadline` on return.
   std::size_t run_until(TimePoint deadline);
-
-  /// Earliest pending event time, or nullopt when the queue is empty.
-  /// Non-const because tombstones of cancelled events surfacing at the heap
-  /// front are discarded on the way (keeping the amortised O(1) cancel
-  /// accounting); the observable state is unchanged.
-  [[nodiscard]] std::optional<TimePoint> peek_next_time();
-
-  /// Fires every event with `when` strictly before `bound` and returns the
-  /// count.  Unlike run_until(), events at exactly `bound` stay queued and
-  /// the clock is NOT advanced to `bound` -- it rests at the last fired
-  /// event.  This is the window-drain primitive of sim::ShardedSimulator:
-  /// the next window start is derived from the earliest remaining event
-  /// fleet-wide, so padding the clock forward would skew it.  Race-check
-  /// hooks are not serviced here; the race detector replays scenarios
-  /// sequentially through run()/run_until() (the determinism oracle).
-  std::size_t run_before(TimePoint bound);
 
   /// Number of events currently pending (cancelled events are excluded).
   [[nodiscard]] std::size_t pending() const { return live_; }

@@ -98,12 +98,6 @@ struct RunOptions {
   /// at once -- a different event-creation sequence, so traces are NOT
   /// digest-comparable with the default mode.
   std::size_t arrival_window = 0;
-  /// OS threads for the conservative parallel drain (run_sharded_mix).
-  /// 1 = today's exact sequential path on the calling thread; higher values
-  /// drain shards concurrently but never change any result or digest --
-  /// thread count buys wall-clock time only.  Ignored by the unsharded
-  /// runners, which are single-simulator by construction.
-  unsigned threads = 1;
 };
 
 /// Submits one request per entry of `schedule` (relative to the current

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "platform/worker_state.hpp"
 #include "sim/audit.hpp"
-#include "sim/sharded.hpp"
 
 namespace xanadu::workload {
 
@@ -306,253 +303,6 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
     outcome.per_source[s].trace_digest = stream.source_digest(s);
     outcome.per_source[s].streamed = true;
   }
-  return outcome;
-}
-
-namespace {
-
-// FNV-1a fold of one 64-bit value, little-endian bytes -- the same hash
-// family metrics::trace_digest uses, applied to combine per-shard digests in
-// shard order.
-std::uint64_t fnv_fold(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffu;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
-}  // namespace
-
-ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
-                               const RunOptions& options) {
-  if (shards.empty()) {
-    throw std::invalid_argument{"run_sharded_mix: no shards"};
-  }
-  if (options.threads == 0) {
-    throw std::invalid_argument{"run_sharded_mix: threads must be >= 1"};
-  }
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].manager == nullptr) {
-      throw std::invalid_argument{"run_sharded_mix: null manager"};
-    }
-    for (std::size_t j = i + 1; j < shards.size(); ++j) {
-      if (shards[i].manager == shards[j].manager) {
-        throw std::invalid_argument{
-            "run_sharded_mix: every shard needs its own deployment"};
-      }
-    }
-    for (std::size_t a = 1; a < shards[i].schedule.size(); ++a) {
-      if (shards[i].schedule[a] < shards[i].schedule[a - 1]) {
-        throw std::invalid_argument{
-            "run_sharded_mix: every shard schedule must be sorted"};
-      }
-    }
-  }
-
-  // Lookahead: the conservative window length.  Bridged worker telemetry
-  // crosses shards at each deployment's control-bus latency, so the minimum
-  // enabled latency bounds cross-shard delivery from below.  Without any
-  // control bus there is no cross-shard traffic at all and any positive
-  // lookahead is correct -- a large one minimises window (barrier) count.
-  bool any_bus = false;
-  sim::Duration min_latency = sim::Duration::from_minutes(1);
-  for (const ShardedSource& shard : shards) {
-    const platform::PlatformCalibration& calib =
-        shard.manager->engine().calibration();
-    if (calib.control_bus.enabled) {
-      if (!any_bus || calib.control_bus.latency < min_latency) {
-        min_latency = calib.control_bus.latency;
-      }
-      any_bus = true;
-    }
-  }
-  sim::ShardedSimulator::Options driver_options;
-  driver_options.lookahead = min_latency;
-  sim::ShardedSimulator driver(driver_options);
-
-  std::vector<sim::LogicalProcess*> lps;
-  lps.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    lps.push_back(&driver.add_shard(shards[i].manager->simulator()));
-    shards[i].manager->cluster().assign_shard(lps.back()->shard());
-  }
-
-  // Fleet-control shard: one WorkerStateTracker per tenant, fed over bridged
-  // "workers" topics (the paper's Kafka-backed worker state management,
-  // stretched across shards).  Only materialised when some deployment runs a
-  // control bus.
-  sim::Simulator fleet_sim;
-  std::unique_ptr<platform::MessageBus> fleet_bus;
-  std::vector<std::unique_ptr<platform::WorkerStateTracker>> fleet_view(
-      shards.size());
-  if (any_bus) {
-    sim::LogicalProcess& fleet_lp = driver.add_shard(fleet_sim);
-    fleet_bus = std::make_unique<platform::MessageBus>(
-        fleet_sim, platform::MessageBus::Options{}, common::Rng{0x5eedf1ee7});
-    fleet_bus->attach_shard(fleet_lp);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      platform::MessageBus* bus = shards[i].manager->engine().control_bus();
-      if (bus == nullptr) continue;
-      bus->attach_shard(*lps[i]);
-      const std::string fleet_topic =
-          "fleet.workers." + std::to_string(i);
-      bus->bridge_topic(
-          platform::kWorkerStateTopic, *fleet_bus, fleet_topic,
-          shards[i].manager->engine().calibration().control_bus.latency);
-      fleet_view[i] =
-          std::make_unique<platform::WorkerStateTracker>(*fleet_bus,
-                                                         fleet_topic);
-    }
-  }
-
-  ShardedOutcome outcome;
-  MixedOutcome& mixed = outcome.mixed;
-  mixed.per_source.resize(shards.size());
-  mixed.source_names.reserve(shards.size());
-  for (const ShardedSource& shard : shards) {
-    mixed.source_names.push_back(shard.name);
-  }
-
-  // Per-shard harness: each shard reuses the MixDriver with a single-source
-  // mix on its own simulator and its own streaming consumer, so the
-  // per-shard fold order (and digest) is exactly the unsharded single-tenant
-  // fold order.
-  std::vector<TrafficMix> mixes(shards.size());
-  std::vector<std::unique_ptr<MixedOutcome>> shard_mixed;
-  std::vector<std::unique_ptr<metrics::StreamingTrace>> streams;
-  std::vector<std::unique_ptr<MixDriver>> drivers;
-  std::vector<cluster::ResourceLedger> ledgers_before;
-  std::vector<sim::TimePoint> bases;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    core::DispatchManager& manager = *shards[i].manager;
-    mixes[i].add_source(shards[i].workflow, shards[i].name,
-                        shards[i].schedule);
-    shard_mixed.push_back(std::make_unique<MixedOutcome>());
-    shard_mixed.back()->per_source.resize(1);
-    streams.push_back(
-        std::make_unique<metrics::StreamingTrace>(options.stream));
-    streams.back()->add_source(manager.engine().dag(shards[i].workflow),
-                               shards[i].name);
-    ledgers_before.push_back(manager.ledger());
-    bases.push_back(manager.simulator().now());
-    drivers.push_back(std::make_unique<MixDriver>(
-        manager, mixes[i], options, *shard_mixed[i], *streams[i]));
-  }
-  for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
-    mix_driver->start();
-  }
-
-  sim::ShardedSimulator::RunLimits limits;
-  if (!(options.drain_after_last && !options.allow_incomplete)) {
-    limits.stop = [&drivers] {
-      for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
-        if (mix_driver->completed() < mix_driver->total()) return false;
-      }
-      return true;
-    };
-    if (options.allow_incomplete) {
-      // One fleet-wide stall horizon: the latest per-shard horizon, so no
-      // shard is failed before its own sequential-path horizon.  The drain
-      // is window-quantised, so stranded requests are failed at the first
-      // window boundary at or past the horizon.
-      sim::TimePoint horizon{0};
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        const sim::TimePoint shard_horizon =
-            bases[i] + drivers[i]->last_arrival() + options.stall_horizon;
-        horizon = std::max(horizon, shard_horizon);
-      }
-      limits.horizon = horizon;
-    }
-  }
-  outcome.events_fired = driver.run(options.threads, limits);
-
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (drivers[i]->completed() != drivers[i]->total() &&
-        options.allow_incomplete) {
-      shards[i].manager->engine().fail_all_pending_requests(
-          "stranded by injected fault");
-    }
-    if (drivers[i]->completed() != drivers[i]->total()) {
-      throw std::logic_error{"run_sharded_mix: not all requests completed"};
-    }
-    XANADU_INVARIANT(drivers[i]->folded() == drivers[i]->total(),
-                     "run_sharded_mix: streaming fold did not drain");
-  }
-  if (options.drain_after_last && options.allow_incomplete) {
-    outcome.events_fired += driver.run(options.threads);
-  }
-  if (options.flush_at_end) {
-    for (const ShardedSource& shard : shards) {
-      shard.manager->force_cold_start();
-    }
-  }
-  if (any_bus) {
-    // Telemetry settle: flush/teardown published Dead events whose bridged
-    // copies are still crossing the mailbox.  Drain one bridge latency past
-    // the latest shard clock so the fleet view converges -- bounded (never
-    // run-to-empty: recurring fault events could recur forever) and
-    // identical at any thread count.
-    sim::TimePoint latest{0};
-    for (const ShardedSource& shard : shards) {
-      latest = std::max(latest, shard.manager->simulator().now());
-    }
-    sim::ShardedSimulator::RunLimits settle;
-    settle.horizon = latest + min_latency + min_latency;
-    outcome.events_fired += driver.run(options.threads, settle);
-  }
-
-  // Per-shard outcomes (shard order), then deterministic aggregation.
-  RunOutcome& aggregate = mixed.aggregate;
-  aggregate.streamed = true;
-  std::uint64_t trace_fold = kFnvBasis;
-  std::uint64_t state_fold = kFnvBasis;
-  std::uint64_t fleet_fold = kFnvBasis;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    streams[i]->finish();
-    RunOutcome& lane = mixed.per_source[i];
-    lane = std::move(shard_mixed[i]->aggregate);
-    lane.ledger_delta = shards[i].manager->ledger() - ledgers_before[i];
-    lane.stats = streams[i]->stats();
-    lane.histogram = streams[i]->histogram();
-    lane.trace_digest = streams[i]->digest();
-    lane.streamed = true;
-
-    if (i == 0) {
-      aggregate.stats = lane.stats;
-      aggregate.histogram = lane.histogram;
-    } else {
-      aggregate.stats.merge(lane.stats);
-      aggregate.histogram.merge(lane.histogram);
-    }
-    aggregate.ledger_delta += lane.ledger_delta;
-    trace_fold = fnv_fold(trace_fold, static_cast<std::uint64_t>(i));
-    trace_fold = fnv_fold(trace_fold, lane.trace_digest);
-    state_fold = fnv_fold(state_fold, static_cast<std::uint64_t>(i));
-    state_fold =
-        fnv_fold(state_fold, shards[i].manager->engine().state_digest());
-
-    if (fleet_view[i] != nullptr) {
-      const platform::WorkerStateTracker& tracker = *fleet_view[i];
-      outcome.fleet_events += tracker.events_seen();
-      fleet_fold = fnv_fold(fleet_fold, static_cast<std::uint64_t>(i));
-      fleet_fold = fnv_fold(fleet_fold, tracker.live_count());
-      fleet_fold = fnv_fold(
-          fleet_fold, tracker.count(platform::WorkerEventKind::Provisioning));
-      fleet_fold =
-          fnv_fold(fleet_fold, tracker.count(platform::WorkerEventKind::Busy));
-      fleet_fold =
-          fnv_fold(fleet_fold, tracker.count(platform::WorkerEventKind::Idle));
-      fleet_fold = fnv_fold(fleet_fold, tracker.events_seen());
-    }
-  }
-  aggregate.trace_digest = trace_fold;
-  outcome.state_digest = state_fold;
-  outcome.fleet_digest = fleet_fold;
-  outcome.windows = driver.windows();
-  outcome.cross_shard_messages = driver.messages_delivered();
   return outcome;
 }
 

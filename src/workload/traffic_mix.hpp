@@ -98,54 +98,4 @@ struct MixedOutcome {
                                               const TrafficMix& mix,
                                               const RunOptions& options = {});
 
-// -- Sharded multi-tenant runs (conservative parallel drain) -----------------
-
-/// One shard of a sharded run: a complete deployment -- its own simulator,
-/// cluster and engine, i.e. a core::DispatchManager -- plus that tenant's
-/// arrival schedule.  Shards share no mutable state; the only cross-shard
-/// traffic is worker-lifecycle telemetry bridged over the control bus into
-/// the fleet view (when the deployments enable the bus).
-struct ShardedSource {
-  core::DispatchManager* manager = nullptr;
-  common::WorkflowId workflow{};
-  std::string name;
-  ArrivalSchedule schedule;
-};
-
-/// Result of a sharded run.  `mixed.per_source[i]` is shard i's complete
-/// RunOutcome; clusters are per-shard, so -- unlike run_mixed_schedule --
-/// every lane carries its own ledger delta.  `mixed.aggregate` merges the
-/// per-shard stats/histograms in shard order and folds the per-shard trace
-/// digests into one combined digest.  That digest is a *sharded-run* value:
-/// identical for identical (shards, seeds, options) at any thread count, but
-/// not comparable with an unsharded run over the same requests (requests
-/// interleave differently by construction -- independent clusters).
-struct ShardedOutcome {
-  MixedOutcome mixed;
-  /// Worker lifecycle events the fleet view consumed over bridged topics
-  /// (0 when no shard runs a control bus).
-  std::uint64_t fleet_events = 0;
-  /// Digest over the fleet view's final per-shard worker-state counts.
-  std::uint64_t fleet_digest = 0;
-  /// Fold of each shard engine's state_digest, in shard order.
-  std::uint64_t state_digest = 0;
-  /// Conservative windows the driver executed.
-  std::uint64_t windows = 0;
-  /// Messages merged through the cross-shard mailbox.
-  std::uint64_t cross_shard_messages = 0;
-  /// Events fired across all shards during the drive.
-  std::size_t events_fired = 0;
-};
-
-/// Drives every shard's schedule through one sim::ShardedSimulator using
-/// RunOptions::threads OS threads.  Each shard's manager must be a distinct
-/// deployment; schedules must be sorted.  Deployments with the control bus
-/// enabled get their "workers" topic bridged to a fleet-control shard
-/// hosting one platform::WorkerStateTracker per tenant (the paper's
-/// Kafka-backed worker state management, stretched across shards).  All
-/// results, digests and stats are byte-identical for any thread count;
-/// tests/sharded_determinism_test.cpp pins this.
-[[nodiscard]] ShardedOutcome run_sharded_mix(
-    const std::vector<ShardedSource>& shards, const RunOptions& options = {});
-
 }  // namespace xanadu::workload

@@ -7,6 +7,6 @@ parse and merges the reports.
 
 from __future__ import annotations
 
-from . import arena_escape, observer_purity, shard_lookahead  # noqa: F401
+from . import arena_escape, observer_purity  # noqa: F401
 
-ALL_ANALYSES = (arena_escape, shard_lookahead, observer_purity)
+ALL_ANALYSES = (arena_escape, observer_purity)

@@ -17,9 +17,8 @@ every analysis now shares:
     whether a parameter pack makes it open-ended, so overload resolution
     can filter per instantiation (see model.SourceModel.resolve).
   * Uniform call sites.  Every call records its receiver chain and const
-    qualification facts, so rules about *who* is called on *what* (foreign
-    shard simulators, member RNG streams, member containers) share one
-    extraction.
+    qualification facts, so rules about *who* is called on *what* (member
+    RNG streams, member containers) share one extraction.
 """
 
 from __future__ import annotations
@@ -142,59 +141,6 @@ def receiver_chain(tokens: list[Token], dot_idx: int) -> tuple[str, ...]:
         break
     chain.reverse()
     return tuple(chain)
-
-
-def receiver_expr(tokens: list[Token], dot_idx: int,
-                  max_tokens: int = 48) -> list[str]:
-    """The full postfix receiver expression left of tokens[dot_idx]
-    ('.'/'->'), including call and subscript results:
-    `owner().shard(i).simulator().m(` -> the tokens of
-    `owner().shard(i).simulator()`.  Walks backward over balanced ()/[]
-    groups and ident/./->/:: links; bounded, returns what it collected."""
-    out: list[str] = []
-    i = dot_idx - 1
-    expect_primary = True
-    while i >= 0 and len(out) < max_tokens:
-        t = tokens[i][0]
-        if expect_primary:
-            if t in (")", "]"):
-                closer, opener = (")", "(") if t == ")" else ("]", "[")
-                depth = 0
-                j = i
-                while j >= 0:
-                    tj = tokens[j][0]
-                    if tj == closer:
-                        depth += 1
-                    elif tj == opener:
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    out.append(tj)
-                    j -= 1
-                    if len(out) >= max_tokens:
-                        return list(reversed(out))
-                if j < 0:
-                    break
-                out.append(opener)
-                i = j - 1
-                # A call/subscript group extends the primary leftward: in
-                # `shard(1).simulator()` the `(1)` group is followed (going
-                # left) by its callee name `shard`, which belongs to the
-                # same receiver chain.
-                continue
-            if t == "this" or (IDENT_RE.fullmatch(t) and t not in KEYWORDS):
-                out.append(t)
-                i -= 1
-                expect_primary = False
-                continue
-            break
-        if t in (".", "->", "::"):
-            out.append(t)
-            i -= 1
-            expect_primary = True
-            continue
-        break
-    return list(reversed(out))
 
 
 def param_groups(tokens: list[Token], open_idx: int,

@@ -16,17 +16,12 @@ class SuppressedShapes {
   void on_suppressed_tick() {
     sim_.schedule_after(Duration::millis(2), [this] { begin(); },
                         "sup.tick");
-    // lint:allow(shard-lookahead) fixture: pinned suppression syntax
-    peer_bus_->publish(topic_, payload_);
   }
 
  private:
   Arena arena_;
   char* keep_ = nullptr;
   Simulator sim_;
-  MessageBus* peer_bus_ = nullptr;
-  TopicId topic_;
-  Payload payload_;
 };
 
 class PolicyView {

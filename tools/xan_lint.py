@@ -18,9 +18,6 @@ whole analysis family runs off that single SourceModel:
                      into members/statics/member containers that outlive
                      reset_for_reuse (static complement of the ASan
                      use-after-reset death tests)
-  shard-lookahead    handler-reachable scheduling/publishing onto another
-                     shard outside the numbered mailbox (static complement
-                     of the runtime window_end throw and the TSan job)
   observer-purity    PolicyView/probe/digest observation paths that draw
                      from an Rng, call an engine mutator, or write state
                      folded into state_digest (static complement of the

@@ -3,8 +3,7 @@
 known-good fixtures in tools/fixtures/xan_lint/.
 
 Each new interprocedural rule guards a correctness contract the runtime
-only checks opportunistically (ASan death tests, the window_end throw +
-TSan, golden-digest replay), so each rule gets the same treatment as the
+only checks opportunistically (ASan death tests, golden-digest replay), so each rule gets the same treatment as the
 code it guards: a regression suite that fails if the rule goes silent on
 its distilled bug or noisy on the fixed form.
 
@@ -16,11 +15,6 @@ its distilled bug or noisy on the fixed form.
                                path
   good_arena_reset_rebind.cpp  post-fix shape (rebind + value copies) --
                                must be silent
-  bad_shard_direct_send.cpp    PR-9 in-window cross-shard sends (direct
-                               peer simulator + shard(i) chain) --
-                               shard-lookahead must fire twice
-  good_shard_mailbox.cpp       closure mailed via LogicalProcess::send,
-                               local-receiver scheduling -- must be silent
   bad_observer_mutation.cpp    PolicyView accessor that bumps a counter
                                and draws jitter -- observer-purity must
                                fire twice
@@ -51,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import flow_lint  # noqa: E402
 import xan_lint  # noqa: E402
-from analyses import arena_escape, observer_purity, shard_lookahead  # noqa: E402
+from analyses import arena_escape, observer_purity  # noqa: E402
 from cppmodel import SourceModel  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "xan_lint"
@@ -75,7 +69,6 @@ def main() -> int:
     model = SourceModel([FIXTURES]).load()
 
     arena = by_file(arena_escape.run(model))
-    shard = by_file(shard_lookahead.run(model))
     observer = by_file(observer_purity.run(model))
     flow_findings, _ = flow_lint.run_on_model(model)
     flow = by_file(flow_findings)
@@ -114,28 +107,6 @@ def main() -> int:
     check(
         not arena.get("good_arena_reset_rebind.cpp"),
         "good_arena_reset_rebind is silent (rebind + value copies)",
-        failures,
-    )
-
-    # --- shard-lookahead: direct cross-shard scheduling. ------------------
-    found = shard.get("bad_shard_direct_send.cpp", [])
-    check(
-        len(found) == 2 and all(f.rule == "shard-lookahead" for f in found),
-        "bad_shard_direct_send fires shard-lookahead exactly twice",
-        failures,
-    )
-    if len(found) == 2:
-        messages = " | ".join(f.message for f in found)
-        check(
-            "peer_sim_" in messages and "shard" in messages,
-            "bad_shard_direct_send flags both the peer simulator and the "
-            "shard(i) chain",
-            failures,
-        )
-    check(
-        not shard.get("good_shard_mailbox.cpp"),
-        "good_shard_mailbox is silent (closure mailed via send, local "
-        "scheduling untouched)",
         failures,
     )
 
@@ -204,7 +175,6 @@ def main() -> int:
     # --- suppressions pin the escape hatch. -------------------------------
     for name, grouped in (
         ("arena-escape", arena),
-        ("shard-lookahead", shard),
         ("observer-purity", observer),
     ):
         check(
