@@ -5,6 +5,8 @@
 
 #if defined(XANADU_RNG_TRACE)
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <string_view>
@@ -71,11 +73,26 @@ namespace xanadu::common::rng_trace {
 
 namespace {
 
+/// One raw draw site as the compiler reports it.  The file name is a
+/// string literal, so a (pointer, line) key interns a site without building
+/// a string: record() allocates only the first time it sees a site.
+struct Site {
+  const char* file;
+  std::uint_least32_t line;
+};
+
+struct SiteLess {
+  bool operator()(const Site& a, const Site& b) const {
+    if (a.file != b.file) return std::less<const char*>{}(a.file, b.file);
+    return a.line < b.line;
+  }
+};
+
 /// Global interned draw-site set.  Guarded by site_mutex(): independent
 /// simulations may draw from their own Rngs on separate threads of one
 /// process.
-std::set<std::string>& site_set() {
-  static std::set<std::string> sites;
+std::set<Site, SiteLess>& site_set() {
+  static std::set<Site, SiteLess> sites;
   return sites;
 }
 
@@ -112,18 +129,27 @@ std::string normalise(std::string_view path) {
 }  // namespace
 
 void record(const std::source_location& site) {
-  const std::string path = normalise(site.file_name());
-  // Internal delegation (uniform() calling next(), Box-Muller calling
-  // uniform()) reports sites inside the Rng implementation itself; skip
-  // them so the set holds only outermost textual draw sites.
-  if (path == "src/common/rng.hpp" || path == "src/common/rng.cpp") return;
+  // Runs on every draw, so it only interns the raw site; normalising and
+  // filtering wait for observed_sites().  insert() allocates a node only
+  // for a site not seen before.
   const std::lock_guard<std::mutex> lock(site_mutex());
-  site_set().insert(path + ":" + std::to_string(site.line()));
+  site_set().insert(Site{site.file_name(), site.line()});
 }
 
 std::vector<std::string> observed_sites() {
+  std::set<std::string> labels;
   const std::lock_guard<std::mutex> lock(site_mutex());
-  return {site_set().begin(), site_set().end()};
+  for (const Site& site : site_set()) {
+    const std::string path = normalise(site.file);
+    // Internal delegation (uniform() calling next(), Box-Muller calling
+    // uniform()) reports sites inside the Rng implementation itself; skip
+    // them so the labels name only outermost textual draw sites.
+    if (path == "src/common/rng.hpp" || path == "src/common/rng.cpp") continue;
+    // One header site can reach the set under several file-name pointers
+    // (one per including TU); the label set merges them.
+    labels.insert(path + ":" + std::to_string(site.line));
+  }
+  return {labels.begin(), labels.end()};
 }
 
 void clear() {

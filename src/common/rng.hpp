@@ -33,14 +33,15 @@
 
 namespace xanadu::common::rng_trace {
 
-/// Interns the call site of one Rng draw.  Sites inside common/rng.{hpp,cpp}
-/// (internal delegation, e.g. uniform() calling next()) are ignored so the
-/// observed set holds only the outermost textual draw sites -- the same
-/// granularity tools/flow_lint.py predicts.
+/// Interns the raw call site of one Rng draw.  Allocates only for a site
+/// not seen before, so tracing keeps steady-state draws allocation-free.
 void record(const std::source_location& site);
 
 /// Observed draw sites so far, as sorted "path:line" labels with the path
-/// normalised to start at src/, bench/, tests/, tools/ or examples/.
+/// normalised to start at src/, bench/, tests/, tools/ or examples/.  Sites
+/// inside common/rng.{hpp,cpp} (internal delegation, e.g. uniform() calling
+/// next()) are left out, so the labels name only the outermost textual draw
+/// sites -- the same granularity tools/flow_lint.py predicts.
 [[nodiscard]] std::vector<std::string> observed_sites();
 
 /// Forgets all recorded sites (test isolation).

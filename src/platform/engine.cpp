@@ -315,6 +315,9 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
             // The request already failed over; the crash still kills the
             // sandbox it was scheduled against.
             if (cluster_.find_worker(worker_id) != nullptr) {
+              // A busy worker may hold the keep-alive timer of an earlier
+              // park.
+              warm_pool_.cancel_keep_alive(worker_id);
               publish_worker_event(WorkerEventKind::Dead, worker_id);
               cluster_.crash_worker(worker_id, sim_.now());
             }

@@ -106,8 +106,10 @@ class PlatformEngine {
   [[nodiscard]] std::size_t inflight_request_count() const {
     return requests_.size();
   }
-  /// Pending keep-alive timers; every timer must belong to a live pooled
-  /// worker (the keep-alive cancellation regression test leans on this).
+  /// Pending keep-alive timers: one per pooled worker, and busy workers may
+  /// hold one armed at an earlier park (see WarmPoolManager::park()).  Every
+  /// timer must belong to a live worker (the keep-alive cancellation
+  /// regression tests lean on this).
   [[nodiscard]] std::size_t keep_alive_event_count() const {
     return warm_pool_.keep_alive_event_count();
   }

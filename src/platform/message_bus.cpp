@@ -98,6 +98,10 @@ std::uint64_t MessageBus::publish(TopicId topic, const BusPayload& payload) {
   sim::TimePoint when = sim_.now() + sim::Duration::from_millis(delay_ms);
   when = std::max(when, state.last_delivery);
   state.last_delivery = when;
+  // Nobody to deliver to: the message keeps its offset, its draws and its
+  // place in the topic's delivery order, but takes no slot and schedules no
+  // event.  A subscriber added later never sees it.
+  if (state.subscriptions.empty()) return offset;
 
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {

@@ -9,7 +9,11 @@
 // lifecycle event or a provisioning command.  Publishing enqueues one
 // delivery event after the bus latency (plus optional jitter); per topic,
 // deliveries preserve publish order (Kafka partition semantics), and each
-// delivery fans the message out to the topic's subscribers.  Handlers run in
+// delivery fans the message out to the topic's subscribers.  A message
+// published to a topic with no subscriber schedules no delivery at all: it
+// still takes its offset, its fault and jitter draws and its place in the
+// topic's delivery order, but a subscriber added afterwards never receives
+// it.  Every subscriber in the tree attaches before traffic starts.  Handlers run in
 // virtual time, so bus latency is part of every control-plane round-trip
 // that uses it -- notably the Dispatch Manager -> Dispatch Daemon
 // provisioning commands.
@@ -81,8 +85,12 @@ class MessageBus {
   bool unsubscribe(SubscriptionId id);
 
   /// Publishes a payload; every subscriber of the topic at delivery time
-  /// receives it after the bus latency.  Returns the message's per-topic
-  /// offset.
+  /// receives it after the bus latency.  When the topic has no subscriber at
+  /// publish time, no delivery is scheduled and the message reaches nobody,
+  /// even a subscriber added before its delivery time would have come; the
+  /// offset, the fault and jitter draws, the topic's last delivery time and
+  /// the published/dropped counters advance exactly as for a subscribed
+  /// topic.  Returns the message's per-topic offset.
   std::uint64_t publish(const std::string& topic, const BusPayload& payload);
   std::uint64_t publish(TopicId topic, const BusPayload& payload);
 

@@ -62,6 +62,8 @@ void RecoveryManager::crash_execution(RequestContext& ctx, NodeId node) {
                    "crash_execution: node was not executing");
   const WorkerId worker_id = record.worker;
   record.finish_event = EventId{};
+  // A busy worker may hold the keep-alive timer of an earlier park.
+  warm_pool_->cancel_keep_alive(worker_id);
   hooks_.publish_worker_event(WorkerEventKind::Dead, worker_id);
   cluster_.crash_worker(worker_id, sim_.now());
   retry_node(ctx, node, "worker crashed mid-execution");
@@ -135,6 +137,8 @@ void RecoveryManager::kill_worker_for_fault(WorkerId worker_id) {
       // Find the (request, node) executing on this worker; the engine's scan
       // is order-insensitive (at most one node matches).
       auto [owner_ctx, owner_node] = hooks_.find_executing(worker_id);
+      // A busy worker may hold the keep-alive timer of an earlier park.
+      warm_pool_->cancel_keep_alive(worker_id);
       hooks_.publish_worker_event(WorkerEventKind::Dead, worker_id);
       if (owner_ctx != nullptr) {
         NodeRecord& record = owner_ctx->nodes[owner_node.value()];

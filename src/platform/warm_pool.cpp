@@ -20,31 +20,55 @@ std::optional<WorkerId> WarmPoolManager::acquire(FunctionId fn) {
   if (it == warm_.end() || it->second.empty()) return std::nullopt;
   const WorkerId worker = it->second.front();
   it->second.pop_front();
-  cancel_keep_alive(worker);
+  // The keep-alive timer stays armed: if the worker is parked again before
+  // it fires, the fire re-arms at the new deadline instead of this acquire
+  // cancelling one timer and the next park scheduling another.
   return worker;
 }
 
 void WarmPoolManager::park(FunctionId fn, WorkerId worker) {
   warm_[fn].push_back(worker);
-  schedule_keep_alive(fn, worker);
+  const sim::TimePoint deadline = sim_.now() + calib_.keep_alive;
+  const auto [it, fresh] = keep_alive_.try_emplace(worker);
+  it->second.deadline = deadline;
+  if (fresh) arm_keep_alive(fn, worker, it->second);
 }
 
-void WarmPoolManager::schedule_keep_alive(FunctionId fn, WorkerId worker) {
-  const EventId event = sim_.schedule_after(
-      calib_.keep_alive,
-      [this, fn, worker] {
-        keep_alive_events_.erase(worker);
-        reclaim(fn, worker);
-      },
+void WarmPoolManager::arm_keep_alive(FunctionId fn, WorkerId worker,
+                                     KeepAlive& record) {
+  record.event = sim_.schedule_at(
+      record.deadline, [this, fn, worker] { keep_alive_fired(fn, worker); },
       "warm_pool.keep_alive");
-  keep_alive_events_[worker] = event;
+}
+
+void WarmPoolManager::keep_alive_fired(FunctionId fn, WorkerId worker) {
+  auto it = keep_alive_.find(worker);
+  XANADU_INVARIANT(it != keep_alive_.end(),
+                   "keep-alive timer fired without its record");
+  const bool pooled = is_pooled(fn, worker);
+  if (pooled && sim_.now() < it->second.deadline) {
+    // Reused and re-parked since the timer was armed: wait out the rest.
+    arm_keep_alive(fn, worker, it->second);
+    return;
+  }
+  // Expired, or busy / handed off since: the record goes, and the next
+  // park() arms a fresh timer.
+  keep_alive_.erase(it);
+  if (pooled) reclaim(fn, worker);
+}
+
+bool WarmPoolManager::is_pooled(FunctionId fn, WorkerId worker) const {
+  auto pool = warm_.find(fn);
+  return pool != warm_.end() &&
+         std::find(pool->second.begin(), pool->second.end(), worker) !=
+             pool->second.end();
 }
 
 void WarmPoolManager::cancel_keep_alive(WorkerId worker) {
-  auto it = keep_alive_events_.find(worker);
-  if (it != keep_alive_events_.end()) {
-    sim_.cancel(it->second);
-    keep_alive_events_.erase(it);
+  auto it = keep_alive_.find(worker);
+  if (it != keep_alive_.end()) {
+    sim_.cancel(it->second.event);
+    keep_alive_.erase(it);
   }
 }
 
@@ -210,7 +234,7 @@ void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
     return total;
   });
   probes.add("warm_pool.keep_alive_timers",
-             [this] { return static_cast<std::uint64_t>(keep_alive_events_.size()); });
+             [this] { return static_cast<std::uint64_t>(keep_alive_.size()); });
   probes.add("warm_pool.inbound_rebinds", [this] {
     std::uint64_t total = 0;
     // lint:allow(unordered-iteration) order-insensitive sum

@@ -3,7 +3,7 @@
 // WarmPoolManager: warm-worker bookkeeping for the platform engine.
 //
 // Owns the per-function deques of idle (warm) workers, their keep-alive
-// reclamation timers, the platform-wide eviction scan backing the
+// reclamation timers (armed lazily, see park()), the platform-wide eviction scan backing the
 // OpenWhisk-style live-worker cap, and the warm-worker rebind path (paper
 // Section 7 reuse extension).  The manager is purely mechanical: WHEN a
 // worker is provisioned or reused is the engine's (and its policy's)
@@ -47,13 +47,23 @@ class WarmPoolManager {
   WarmPoolManager(const WarmPoolManager&) = delete;
   WarmPoolManager& operator=(const WarmPoolManager&) = delete;
 
-  /// Pops the oldest warm worker of `fn` (cancelling its keep-alive timer),
-  /// or nullopt when the pool is empty.
+  /// Pops the oldest warm worker of `fn`, or nullopt when the pool is
+  /// empty.  The worker keeps its keep-alive timer (see park()).
   [[nodiscard]] std::optional<WorkerId> acquire(FunctionId fn);
 
-  /// Parks `worker` warm at the back of `fn`'s pool and arms its keep-alive.
+  /// Parks `worker` warm at the back of `fn`'s pool and moves its keep-alive
+  /// deadline to now + keep_alive.  A timer is armed only when the worker
+  /// holds none: a worker reused before its timer fires keeps the old one,
+  /// which on firing re-arms at the current deadline if the worker is pooled
+  /// again, reclaims it if the deadline has passed, and otherwise (worker
+  /// busy) drops out, leaving the next park() to arm a new timer.  The
+  /// reclaim time is exactly last park + keep_alive, as with a timer per
+  /// park, without the schedule/cancel pair on every warm reuse.
   void park(FunctionId fn, WorkerId worker);
 
+  /// Cancels `worker`'s keep-alive timer and drops its record.  Every path
+  /// that kills a worker calls it, busy workers included: a busy worker may
+  /// still hold the timer armed at an earlier park().
   void cancel_keep_alive(WorkerId worker);
 
   /// Reclaims a pooled worker (keep-alive expiry or eviction): removes it
@@ -110,10 +120,12 @@ class WarmPoolManager {
   /// Workers mid-rebind toward `fn` (counted as provisioning coverage so the
   /// speculation engine does not double-provision).
   [[nodiscard]] std::size_t inbound_rebinds(FunctionId fn) const;
-  /// Pending keep-alive timers; every timer must belong to a live pooled
-  /// worker (the keep-alive cancellation regression test leans on this).
+  /// Pending keep-alive timers: one per pooled worker, plus one for each
+  /// busy worker still holding the timer of an earlier park().  Every timer
+  /// belongs to a live worker (the keep-alive cancellation regression tests
+  /// lean on this).
   [[nodiscard]] std::size_t keep_alive_event_count() const {
-    return keep_alive_events_.size();
+    return keep_alive_.size();
   }
 
  private:
@@ -125,7 +137,16 @@ class WarmPoolManager {
     EventId completion{};
   };
 
-  void schedule_keep_alive(FunctionId fn, WorkerId worker);
+  /// A worker's armed keep-alive timer and the deadline it enforces.  The
+  /// deadline moves on every park(); the timer only when it fires early.
+  struct KeepAlive {
+    EventId event{};
+    sim::TimePoint deadline{};
+  };
+
+  void arm_keep_alive(FunctionId fn, WorkerId worker, KeepAlive& record);
+  void keep_alive_fired(FunctionId fn, WorkerId worker);
+  [[nodiscard]] bool is_pooled(FunctionId fn, WorkerId worker) const;
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
@@ -134,7 +155,7 @@ class WarmPoolManager {
 
   /// Warm idle workers per function, oldest first.
   std::unordered_map<FunctionId, std::deque<WorkerId>> warm_;
-  std::unordered_map<WorkerId, EventId> keep_alive_events_;
+  std::unordered_map<WorkerId, KeepAlive> keep_alive_;
   std::unordered_map<FunctionId, std::size_t> inbound_rebinds_;
   /// Workers currently mid-rebind, keyed by worker id.
   std::unordered_map<WorkerId, InflightRebind> rebinding_;

@@ -20,6 +20,25 @@ using workflow::DispatchMode;
 using workflow::SandboxKind;
 using workflow::WorkflowDag;
 
+/// Events cancelled over `sim`'s lifetime, read from the slab's generation
+/// counters (each slot's generation counts its releases, fires plus
+/// cancels).  Drains the simulator first, so every slot is free and one
+/// schedule per slot visits each exactly once.
+std::uint64_t lifetime_cancels(sim::Simulator& sim) {
+  sim.run();
+  const std::size_t slots = sim.slab_capacity();
+  std::vector<common::EventId> probes;
+  for (std::size_t i = 0; i < slots; ++i) {
+    probes.push_back(sim.schedule_after(sim::Duration::zero(), [] {}));
+  }
+  std::uint64_t releases = 0;
+  for (const common::EventId id : probes) {
+    releases += id.value() >> 32;
+    sim.cancel(id);
+  }
+  return releases - sim.events_fired();
+}
+
 /// Test fixture with a deterministic (jitter-free) calibration so latencies
 /// are exactly computable.
 class EngineTest : public ::testing::Test {
@@ -133,6 +152,117 @@ TEST_F(EngineTest, RequestWithinKeepAliveIsWarm) {
   engine_->submit(wf, [&](const RequestResult& r) { second = r; });
   sim_->run_until(sim_->now() + 10_s);
   EXPECT_EQ(second.cold_starts, 0u);
+}
+
+TEST_F(EngineTest, ReusedWorkerIsReclaimedExactlyAtLastParkPlusKeepAlive) {
+  // One worker parked, reused twice, then left idle.  Its single timer,
+  // armed at the first park, fires three times: pooled before its deadline
+  // (re-arm), busy (drop; the next park arms a new one), and expired
+  // (reclaim).  Reclamation and idle cost must match a timer per park.
+  PlatformCalibration calib = exact_calibration();
+  calib.keep_alive = 3_s;
+  reset(calib);
+  const auto wf = engine_->register_workflow(
+      workflow::linear_chain(1, exact_options(1000)));
+  std::vector<RequestResult> results;
+  for (const sim::Duration at : {0_s, 4500_ms, 8_s}) {
+    sim_->run_until(sim::TimePoint{} + at);
+    engine_->submit(wf, [&](const RequestResult& r) { results.push_back(r); });
+  }
+  sim_->run_until(sim::TimePoint{} + 10_s);
+  ASSERT_EQ(results.size(), 3u);
+  std::vector<sim::TimePoint> acquired;
+  std::vector<sim::TimePoint> parked;
+  for (const RequestResult& r : results) {
+    acquired.push_back(r.node_records[0].exec_start);
+    parked.push_back(r.node_records[0].exec_end);
+  }
+  EXPECT_EQ(results[1].cold_starts + results[2].cold_starts, 0u);
+  const common::WorkerId worker = results[0].node_records[0].worker;
+  EXPECT_EQ(results[2].node_records[0].worker, worker);
+  // The timeline reaches each branch of the timer: the first fire finds the
+  // worker pooled early, the re-armed fire finds it busy.
+  const sim::Duration keep_alive = calib.keep_alive;
+  ASSERT_LT(parked[0] + keep_alive, acquired[2]);
+  ASSERT_LT(acquired[2], parked[1] + keep_alive);
+  ASSERT_LT(parked[1] + keep_alive, parked[2]);
+  EXPECT_EQ(engine_->keep_alive_event_count(), 1u);
+
+  const double memory_mb = cluster_->find_worker(worker)->total_memory_mb();
+  const sim::TimePoint reclaim_at = parked[2] + keep_alive;
+  sim_->run_until(reclaim_at - 1_us);
+  EXPECT_EQ(cluster_->live_worker_count(), 1u);
+  sim_->run_until(reclaim_at);
+  EXPECT_EQ(cluster_->live_worker_count(), 0u);
+  EXPECT_EQ(engine_->keep_alive_event_count(), 0u);
+  EXPECT_EQ(sim_->pending(), 0u);
+
+  // Idle spans: none before the first execution (no handoff), the two gaps
+  // between park and reuse, and the full keep-alive after the last park.
+  const double idle_seconds = (acquired[1] - parked[0]).seconds() +
+                              (acquired[2] - parked[1]).seconds() +
+                              keep_alive.seconds();
+  const double idle_cpu =
+      cluster_->catalog().profile(SandboxKind::Container).idle_cpu_fraction;
+  EXPECT_DOUBLE_EQ(cluster_->ledger().idle_memory_mb_seconds,
+                   idle_seconds * memory_mb);
+  EXPECT_DOUBLE_EQ(cluster_->ledger().idle_cpu_core_seconds,
+                   idle_seconds * idle_cpu);
+}
+
+TEST_F(EngineTest, CrashingABusyWorkerCancelsItsArmedKeepAlive) {
+  // A reused worker is busy while still holding the timer of its earlier
+  // park.  When an injected crash kills it mid-execution, the timer must go
+  // with it: afterwards every timer belongs to a pooled worker again.
+  PlatformCalibration calib = exact_calibration();
+  calib.faults.worker_crash_rate = 0.5;
+  reset(calib);
+  const auto wf = engine_->register_workflow(
+      workflow::linear_chain(1, exact_options(1000)));
+  const auto fn = engine_->function_id(wf, common::NodeId{0});
+  bool crashed_reused_worker = false;
+  common::WorkerId pooled_worker{};
+  for (int i = 0; i < 40; ++i) {
+    const bool reuse = pooled_worker.valid() && engine_->warm_count(fn) == 1;
+    const RequestResult r = engine_->run_one(wf);
+    if (reuse && cluster_->find_worker(pooled_worker) == nullptr) {
+      crashed_reused_worker = true;
+    }
+    EXPECT_EQ(engine_->keep_alive_event_count(), engine_->warm_count(fn))
+        << "after request " << i;
+    // The worker that completed the node is the one pooled now.
+    pooled_worker = r.failed ? common::WorkerId{} : r.node_records[0].worker;
+  }
+  ASSERT_GT(engine_->fault_plan().counters().worker_crashes, 0u);
+  ASSERT_TRUE(crashed_reused_worker);
+
+  sim_->run();
+  EXPECT_EQ(engine_->keep_alive_event_count(), 0u);
+  EXPECT_EQ(cluster_->live_worker_count(), 0u);
+}
+
+TEST_F(EngineTest, WarmChainReplayLeavesNoTombstonesAndOneTimerPerWorker) {
+  // Warm reuse cancels nothing: the replay leaves no cancelled event in the
+  // queue and cancels none over its lifetime, and each worker holds at most one keep-alive timer even while
+  // timers keep re-arming (the keep-alive is shorter than the replay).
+  PlatformCalibration calib = exact_calibration();
+  calib.keep_alive = 20_s;
+  reset(calib);
+  const auto wf = engine_->register_workflow(
+      workflow::linear_chain(4, exact_options(100)));
+  std::size_t cold_starts = 0;
+  for (int i = 0; i < 200; ++i) {
+    cold_starts += engine_->run_one(wf).cold_starts;
+    EXPECT_LE(engine_->keep_alive_event_count(),
+              cluster_->live_worker_count());
+  }
+  EXPECT_GT(sim_->now() - sim::TimePoint{}, 4 * calib.keep_alive);
+  EXPECT_EQ(cold_starts, 4u);
+  EXPECT_EQ(cluster_->live_worker_count(), 4u);
+  EXPECT_EQ(engine_->keep_alive_event_count(), 4u);
+  EXPECT_EQ(sim_->tombstone_count(), 0u);
+  EXPECT_EQ(lifetime_cancels(*sim_), 0u);
+  EXPECT_EQ(cluster_->live_worker_count(), 0u);  // Drained: all reclaimed.
 }
 
 TEST_F(EngineTest, MulticastRunsAllChildrenInParallel) {

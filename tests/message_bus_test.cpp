@@ -132,6 +132,75 @@ TEST_F(MessageBusTest, SubscribersJoiningLaterMissOldMessages) {
   EXPECT_EQ(count, 0);
 }
 
+TEST_F(MessageBusTest, ZeroSubscriberPublishSchedulesNothingButKeepsTheTimeline) {
+  // Two buses with the same seed and jitter: `heard` has subscribers on both
+  // topics from the start, `unheard` leaves "t" empty for its first eight
+  // messages.  Those must schedule no event yet advance the offset, the
+  // counters, the jitter stream and the topic's delivery order exactly as
+  // heard ones do, so every later delivery lands at the same time -- some
+  // held back behind an unheard message's jittered delivery time.
+  MessageBus::Options options;
+  options.latency = 5_ms;
+  options.jitter = 20_ms;
+  MessageBus heard{sim_, options, common::Rng{9}};
+  sim::Simulator other_sim;
+  MessageBus unheard{other_sim, options, common::Rng{9}};
+
+  std::vector<std::pair<std::uint64_t, sim::TimePoint>> heard_times;
+  std::vector<std::pair<std::uint64_t, sim::TimePoint>> unheard_times;
+  auto record = [](std::vector<std::pair<std::uint64_t, sim::TimePoint>>& out,
+                   sim::Simulator& clock) {
+    return [&out, &clock](const BusMessage& m) {
+      out.emplace_back(number(m), clock.now());
+    };
+  };
+  heard.subscribe("t", record(heard_times, sim_));
+  heard.subscribe("u", record(heard_times, sim_));
+  unheard.subscribe("u", record(unheard_times, other_sim));
+
+  constexpr std::uint64_t kUnheard = 8;
+  for (std::uint64_t i = 0; i < kUnheard; ++i) {
+    EXPECT_EQ(heard.publish("t", event(i)), i);
+    EXPECT_EQ(unheard.publish("t", event(i)), i);
+  }
+  EXPECT_EQ(other_sim.pending(), 0u);
+  EXPECT_EQ(unheard.published_count(), kUnheard);
+
+  unheard.subscribe("t", record(unheard_times, other_sim));
+  for (std::uint64_t i = kUnheard; i < kUnheard + 6; ++i) {
+    const char* topic = i % 2 == 0 ? "u" : "t";
+    EXPECT_EQ(heard.publish(topic, event(i)), unheard.publish(topic, event(i)));
+  }
+  sim_.run();
+  other_sim.run();
+
+  EXPECT_EQ(unheard.published_count(), heard.published_count());
+  EXPECT_EQ(unheard.dropped_count(), 0u);
+  EXPECT_EQ(unheard.delivered_count() + kUnheard, heard.delivered_count());
+  ASSERT_EQ(heard_times.size(), kUnheard + 6);
+  // Same messages, same delivery times, minus the unheard ones.
+  std::vector<std::pair<std::uint64_t, sim::TimePoint>> expected;
+  for (const auto& delivery : heard_times) {
+    if (delivery.first >= kUnheard) expected.push_back(delivery);
+  }
+  EXPECT_EQ(unheard_times, expected);
+}
+
+TEST_F(MessageBusTest, SubscriberAddedAfterAnUnheardPublishNeverReceivesIt) {
+  // The empty-topic rule: whether a message is delivered is settled when it
+  // is published.  A subscriber that arrives before the message's delivery
+  // time would have come still never sees it, but does see the next one.
+  std::vector<std::uint64_t> received;
+  bus_->publish("t", event(0));
+  bus_->subscribe("t", [&](const BusMessage& m) { received.push_back(m.offset); });
+  EXPECT_EQ(sim_.pending(), 0u);
+  bus_->publish("t", event(1));
+  sim_.run();
+  EXPECT_EQ(received, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(bus_->published_count(), 2u);
+  EXPECT_EQ(bus_->delivered_count(), 1u);
+}
+
 TEST_F(MessageBusTest, HandlerRemovedMidDeliveryIsSkippedAndNewOneWaits) {
   std::vector<std::string> calls;
   SubscriptionId second{};

@@ -24,6 +24,8 @@
 #include "sim/probe.hpp"
 #include "sim/race_detector.hpp"
 #include "sim/simulator.hpp"
+#include "platform/calibration.hpp"
+#include "workflow/builders.hpp"
 #include "workflow/random_tree.hpp"
 #include "workload/case_studies.hpp"
 
@@ -315,6 +317,61 @@ TEST(race_detector, SpeculativeBatchIsOrderIndependentAfterKeyedStreams) {
          "re-arm the scenario so this check stays discriminating";
   const RaceReport report = sim::check_tie_races(runner);
   EXPECT_TRUE(report.race_free()) << report.to_string();
+}
+
+TEST(race_detector, TiedKeepAliveExpiriesCommute) {
+  // Lazy keep-alive re-arms a timer when it fires early, so a re-armed
+  // timer carries a later seq than one armed at the worker's last park
+  // would: same-deadline expiries can fire in a different order than their
+  // parks.  Three jitter-free fan-out children parked on one instant give
+  // their workers one shared deadline, and each of their timers was re-armed
+  // (the first request parked them at distinct cold-start times).  Reclaim
+  // order must not matter.  Other tie groups of this jitter-free scenario
+  // are not this test's subject.
+  auto runner = [](const TiePermutation* permutation) {
+    DispatchManagerOptions options;
+    options.kind = PlatformKind::KnativeLike;
+    options.seed = 42;
+    platform::PlatformCalibration calibration =
+        platform::knative_like_calibration();
+    calibration.overhead_jitter = sim::Duration::zero();
+    options.calibration = calibration;
+    DispatchManager manager{options};
+    TieRecorder recorder;
+    manager.simulator().set_tie_recorder(&recorder);
+    manager.simulator().set_probe_registry(&manager.probes());
+    manager.simulator().set_tie_permutation(permutation);
+    workflow::BuildOptions build;
+    build.exec_time = sim::Duration::from_millis(200);
+    const workflow::WorkflowDag dag = workflow::fan_out(3, build);
+    const auto wf = manager.deploy(workflow::fan_out(3, build));
+    std::vector<RequestResult> results;
+    for (int i = 0; i < 3; ++i) results.push_back(manager.invoke(wf));
+    manager.simulator().run();
+    RunObservation obs;
+    obs.digest = common::fnv1a_u64(manager.engine().state_digest(),
+                                   metrics::trace_digest(results, dag));
+    obs.ties = std::move(recorder);
+    return obs;
+  };
+  std::vector<std::size_t> keep_alive_groups;
+  for (const sim::TieGroup& group : runner(nullptr).ties.groups) {
+    std::size_t timers = 0;
+    for (const sim::TieEvent& event : group.events) {
+      if (event.label == "warm_pool.keep_alive") ++timers;
+    }
+    if (timers > 1) keep_alive_groups.push_back(group.index);
+  }
+  ASSERT_FALSE(keep_alive_groups.empty())
+      << "no keep-alive expiries tie; re-arm the scenario so this check "
+         "stays discriminating";
+  const RaceReport report = sim::check_tie_races(runner);
+  EXPECT_FALSE(report.truncated);
+  for (const sim::TieRace& race : report.races) {
+    for (const std::size_t group : keep_alive_groups) {
+      EXPECT_NE(race.group_index, group) << report.to_string();
+    }
+  }
 }
 
 }  // namespace
