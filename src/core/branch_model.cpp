@@ -17,9 +17,9 @@ const LearnedEdge* ModelNode::find_child(NodeId child) const {
 
 BranchModel BranchModel::from_schema(const workflow::WorkflowDag& dag) {
   BranchModel model;
+  model.slots_.reserve(dag.node_count());
   for (const Node& n : dag.nodes()) {
-    ModelNode mn;
-    mn.id = n.id;
+    ModelNode& mn = model.slot(n.id, SelectMode::All).node;
     mn.select = (n.dispatch == DispatchMode::Xor && n.children.size() > 1)
                     ? SelectMode::MaxLikelihood
                     : SelectMode::All;
@@ -35,42 +35,39 @@ BranchModel BranchModel::from_schema(const workflow::WorkflowDag& dag) {
       le.count = 0;
       mn.children.push_back(le);
     }
-    model.model_nodes_.emplace(n.id, std::move(mn));
     if (n.parents.empty()) model.roots_.push_back(n.id);
   }
   return model;
 }
 
-ModelNode& BranchModel::node(NodeId id, SelectMode mode_if_new) {
-  auto it = model_nodes_.find(id);
-  if (it == model_nodes_.end()) {
-    ModelNode mn;
-    mn.id = id;
-    mn.select = mode_if_new;
-    it = model_nodes_.emplace(id, std::move(mn)).first;
+BranchModel::Slot& BranchModel::slot(NodeId id, SelectMode mode_if_new) {
+  if (id.value() >= slots_.size()) slots_.resize(id.value() + 1);
+  Slot& s = slots_[id.value()];
+  if (!s.node.id.valid()) {
+    s.node.id = id;
+    s.node.select = mode_if_new;
+    ++node_count_;
   }
-  return it->second;
+  return s;
 }
 
 const ModelNode* BranchModel::find(NodeId id) const {
-  auto it = model_nodes_.find(id);
-  return it == model_nodes_.end() ? nullptr : &it->second;
+  if (id.value() >= slots_.size()) return nullptr;
+  const ModelNode& n = slots_[id.value()].node;
+  return n.id.valid() ? &n : nullptr;
 }
 
 std::vector<NodeId> BranchModel::known_nodes() const {
   std::vector<NodeId> ids;
-  ids.reserve(model_nodes_.size());
-  // Safe: the ids are sorted below, so iteration order cannot leak out.
-  for (const auto& [id, n] : model_nodes_) {  // lint:allow(unordered-iteration)
-    (void)n;
-    ids.push_back(id);
+  ids.reserve(node_count_);
+  for (const Slot& s : slots_) {
+    if (s.node.id.valid()) ids.push_back(s.node.id);
   }
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 void BranchModel::restore_node(ModelNode node) {
-  model_nodes_.insert_or_assign(node.id, std::move(node));
+  slot(node.id, node.select).node = std::move(node);
 }
 
 void BranchModel::restore_root(NodeId root) {
@@ -81,7 +78,7 @@ void BranchModel::restore_root(NodeId root) {
 
 void BranchModel::observe_root(NodeId root, RequestId request) {
   (void)request;
-  node(root, SelectMode::Auto);
+  slot(root, SelectMode::Auto);
   if (std::find(roots_.begin(), roots_.end(), root) == roots_.end()) {
     roots_.push_back(root);
   }
@@ -89,55 +86,48 @@ void BranchModel::observe_root(NodeId root, RequestId request) {
 
 void BranchModel::observe_invocation(NodeId parent, NodeId child,
                                      RequestId request) {
-  ModelNode& p = node(parent, SelectMode::Auto);
-  (void)p;
-  node(child, SelectMode::Auto);  // Discover the child node.
-
-  auto it = pending_.find(parent);
-  if (it != pending_.end() && it->second.request != request) {
+  slot(child, SelectMode::Auto);  // Discover the child node.
+  Slot& p = slot(parent, SelectMode::Auto);
+  PendingBatch& batch = p.pending;
+  if (batch.request.valid() && batch.request != request) {
     // A new request reached this parent: the previous request's batch is
     // complete, apply it.
-    apply_batch(node(parent, SelectMode::Auto), it->second);
-    pending_.erase(it);
-    it = pending_.end();
+    apply_batch(p.node, batch);
+    --open_batches_;
   }
-  if (it == pending_.end()) {
-    it = pending_.emplace(parent, PendingBatch{request, {}}).first;
+  if (!batch.request.valid()) {
+    batch.request = request;
+    ++open_batches_;
   }
-  it->second.invoked_children.insert(child.value());
+  std::vector<NodeId>& invoked = batch.invoked_children;
+  if (std::find(invoked.begin(), invoked.end(), child) == invoked.end()) {
+    invoked.push_back(child);
+  }
 }
 
 void BranchModel::finalize_pending() {
   // Each batch touches only its own parent, so the application order is
-  // almost immaterial -- but flushing in sorted parent order keeps the
+  // almost immaterial -- but flushing in ascending parent order keeps the
   // floating-point update sequence (and hence any persisted probabilities)
-  // bit-identical across standard-library hash implementations.
-  std::vector<NodeId> parents;
-  parents.reserve(pending_.size());
-  for (const auto& [parent, batch] : pending_) {  // lint:allow(unordered-iteration)
-    (void)batch;
-    parents.push_back(parent);
+  // fixed.
+  for (std::size_t i = 0; open_batches_ > 0 && i < slots_.size(); ++i) {
+    Slot& s = slots_[i];
+    if (!s.pending.request.valid()) continue;
+    apply_batch(s.node, s.pending);
+    --open_batches_;
   }
-  std::sort(parents.begin(), parents.end());
-  for (const NodeId parent : parents) {
-    apply_batch(node(parent, SelectMode::Auto), pending_.at(parent));
-  }
-  pending_.clear();
 }
 
-void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
+void BranchModel::apply_batch(ModelNode& parent, PendingBatch& batch) {
   // Ensure every invoked child has a branch entry (structure discovery).  A
   // child discovered late starts with probability 0 over the parent's past
   // requests -- rho(C|P) must be invocations-of-C over requests-to-P, not
-  // over requests since C was first seen.  The batch set is unordered, but
-  // the discovery order is observable (it fixes the edge order in
-  // parent.children, and with it MLP tie-breaks and persisted documents), so
-  // sort before appending.
-  std::vector<std::uint64_t> discovered(batch.invoked_children.begin(),
-                                        batch.invoked_children.end());
-  std::sort(discovered.begin(), discovered.end());
-  for (const std::uint64_t raw : discovered) {
-    const NodeId child{raw};
+  // over requests since C was first seen.  The discovery order is observable
+  // (it fixes the edge order in parent.children, and with it MLP tie-breaks
+  // and persisted documents), so the batch is sorted before appending.
+  std::vector<NodeId>& invoked = batch.invoked_children;
+  std::sort(invoked.begin(), invoked.end());
+  for (const NodeId child : invoked) {
     if (parent.find_child(child) == nullptr) {
       parent.children.push_back(LearnedEdge{child, 0.0, parent.request_count});
     }
@@ -146,7 +136,7 @@ void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
   // non-invoked siblings decay.
   for (LearnedEdge& e : parent.children) {
     const auto n = static_cast<double>(e.count);
-    if (batch.invoked_children.contains(e.child.value())) {
+    if (std::binary_search(invoked.begin(), invoked.end(), e.child)) {
       e.probability = (e.probability * n + 1.0) / (n + 1.0);
     } else {
       e.probability = (e.probability * n) / (n + 1.0);
@@ -154,6 +144,8 @@ void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
     ++e.count;
   }
   ++parent.request_count;
+  invoked.clear();
+  batch.request = RequestId{};
 }
 
 }  // namespace xanadu::core

@@ -24,10 +24,17 @@
 // verbatim per invocation would make sibling probabilities of a pure
 // multicast oscillate around 1/m.  For XOR and 1:1 parents (one child per
 // request) the batched update reduces exactly to the paper's update.
+//
+// Representation: node ids come from the workflow DAG and are dense, so the
+// model is a vector indexed by node id.  Each slot holds the node and its
+// open batch: the request it belongs to and the distinct children that
+// request invoked, in a vector that keeps its capacity when the batch is
+// applied and reopened.  Once every node and edge has been discovered,
+// observing an invocation and applying a batch allocate nothing, and
+// finalize_pending() applies batches in ascending parent id order without
+// collecting or sorting keys.
 
 #include <cstddef>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -90,34 +97,41 @@ class BranchModel {
 
   [[nodiscard]] const std::vector<NodeId>& roots() const { return roots_; }
   [[nodiscard]] const ModelNode* find(NodeId id) const;
-  [[nodiscard]] bool known(NodeId id) const { return model_nodes_.contains(id); }
-  [[nodiscard]] std::size_t node_count() const { return model_nodes_.size(); }
+  [[nodiscard]] bool known(NodeId id) const { return find(id) != nullptr; }
+  [[nodiscard]] std::size_t node_count() const { return node_count_; }
 
   /// Total distinct nodes ever observed or declared (tree discovery metric:
   /// the paper reports full-tree discovery within 8 triggers of Figure 8's
-  /// workflow).
+  /// workflow), in ascending id order.
   [[nodiscard]] std::vector<NodeId> known_nodes() const;
 
   // -- Persistence (used by core::MetadataStore) ---------------------------
 
   /// Installs a node verbatim, replacing any existing entry.  Used when
-  /// restoring a model from the metadata store.
+  /// restoring a model from the metadata store, which bounds the ids it
+  /// accepts: storage grows to the largest id.
   void restore_node(ModelNode node);
   /// Registers a root without recording an observation.
   void restore_root(NodeId root);
 
  private:
+  /// One request's invocations out of one parent, applied as a unit.
   struct PendingBatch {
-    RequestId request{};
-    std::unordered_set<std::uint64_t> invoked_children;
+    RequestId request{};  // Invalid while no batch is open.
+    std::vector<NodeId> invoked_children;  // Distinct; sorted when applied.
+  };
+  struct Slot {
+    ModelNode node;  // node.id is invalid while the slot holds no node.
+    PendingBatch pending;
   };
 
-  ModelNode& node(NodeId id, SelectMode mode_if_new);
-  void apply_batch(ModelNode& parent, const PendingBatch& batch);
+  Slot& slot(NodeId id, SelectMode mode_if_new);
+  static void apply_batch(ModelNode& parent, PendingBatch& batch);
 
   std::vector<NodeId> roots_;
-  std::unordered_map<NodeId, ModelNode> model_nodes_;
-  std::unordered_map<NodeId, PendingBatch> pending_;  // keyed by parent
+  std::vector<Slot> slots_;  // Indexed by node id.
+  std::size_t node_count_ = 0;
+  std::size_t open_batches_ = 0;
 };
 
 }  // namespace xanadu::core

@@ -1,116 +1,118 @@
 #include "core/jit_planner.hpp"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
+
+#include "core/path_index.hpp"
 
 namespace xanadu::core {
 
 namespace {
 
-/// MLP parents of `node`: path nodes that have `node` among their children.
-std::vector<NodeId> mlp_parents(NodeId node, const MlpResult& mlp,
-                                const BranchModel& model) {
-  std::vector<NodeId> parents;
-  for (const NodeId candidate : mlp.path) {
-    if (candidate == node) continue;
-    const ModelNode* mn = model.find(candidate);
-    if (mn != nullptr && mn->find_child(node) != nullptr) {
-      parents.push_back(candidate);
+/// Working storage of one plan, indexed by path position.  Kept per thread
+/// and reused, so a warm planner allocates nothing but the returned plan.
+struct Scratch {
+  PathIndex index;
+  /// MLP children of path[i] are children[child_begin[i] .. child_begin[i+1]).
+  std::vector<std::uint32_t> child_begin;
+  std::vector<std::uint32_t> children;
+  /// MLP parents of path[i] not planned yet.
+  std::vector<std::uint32_t> waiting;
+  /// Kahn's queue: positions whose parents are all planned.
+  std::vector<std::uint32_t> order;
+  /// Latest parent-derived invocation time of path[i] seen so far.
+  std::vector<sim::Duration> invocation;
+};
+
+JitPlan plan(std::span<const NodeId> path, const BranchModel& model,
+             const ProfileTable& profiles, const JitOptions& options,
+             bool implicit) {
+  thread_local Scratch s;
+  const ProfileFallbacks& fb = options.fallbacks;
+  const std::size_t n = path.size();
+  JitPlan plan;
+  plan.deployments.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    plan.deployments[i].node = path[i];
+    s.index.set(path[i], i);
+  }
+
+  // MLP parents in one pass over each path node's learned edges.
+  s.child_begin.resize(n + 1);
+  s.children.clear();
+  s.waiting.assign(n, 0);
+  s.invocation.assign(n, sim::Duration::zero());
+  for (std::size_t i = 0; i < n; ++i) {
+    s.child_begin[i] = static_cast<std::uint32_t>(s.children.size());
+    const ModelNode* mn = model.find(path[i]);
+    if (mn == nullptr) continue;
+    for (const LearnedEdge& e : mn->children) {
+      const std::size_t j = s.index.find(e.child, path);
+      if (j == PathIndex::npos || j == i) continue;
+      s.children.push_back(static_cast<std::uint32_t>(j));
+      ++s.waiting[j];
     }
   }
-  return parents;
-}
+  s.child_begin[n] = static_cast<std::uint32_t>(s.children.size());
 
-sim::Duration profile_startup(const ProfileTable& profiles, NodeId node,
-                              const ProfileFallbacks& fb) {
-  const FunctionProfile* p = profiles.find_function(node);
-  return p == nullptr ? fb.startup : p->startup(fb);
-}
-
-sim::Duration profile_cold(const ProfileTable& profiles, NodeId node,
-                           const ProfileFallbacks& fb) {
-  const FunctionProfile* p = profiles.find_function(node);
-  return p == nullptr ? fb.cold_response : p->cold_response(fb);
-}
-
-sim::Duration profile_warm(const ProfileTable& profiles, NodeId node,
-                           const ProfileFallbacks& fb) {
-  const FunctionProfile* p = profiles.find_function(node);
-  return p == nullptr ? fb.warm_response : p->warm_response(fb);
+  s.order.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (s.waiting[i] == 0) s.order.push_back(static_cast<std::uint32_t>(i));
+  }
+  const std::size_t roots = s.order.size();
+  for (std::size_t head = 0; head < s.order.size(); ++head) {
+    const std::uint32_t i = s.order[head];
+    Deployment& d = plan.deployments[i];
+    const FunctionProfile* profile = profiles.find_function(d.node);
+    // `ready`: the node's completion time (explicit; the listing's
+    // node.maxDelay) or its trigger time (implicit), relative to request
+    // arrival.
+    sim::Duration ready = sim::Duration::zero();
+    if (head < roots) {
+      // Root nodes are invoked immediately; deploy now.  An explicit root's
+      // first completion is a cold response (the provisioning races the
+      // request).
+      if (!implicit) {
+        ready = profile == nullptr ? fb.cold_response
+                                   : profile->cold_response(fb);
+      }
+    } else {
+      // m:1 barrier: the child is invoked when its slowest parent finishes
+      // (explicit) or calls it (implicit).
+      const sim::Duration invocation = s.invocation[i];
+      d.expected_invocation = invocation;
+      const sim::Duration startup =
+          profile == nullptr ? fb.startup : profile->startup(fb);
+      d.deploy_delay =
+          (invocation - startup - options.safety_margin).clamped_non_negative();
+      ready = implicit ? invocation
+                       : invocation + (profile == nullptr
+                                           ? fb.warm_response
+                                           : profile->warm_response(fb));
+    }
+    for (std::uint32_t k = s.child_begin[i]; k < s.child_begin[i + 1]; ++k) {
+      const std::uint32_t j = s.children[k];
+      const sim::Duration at =
+          implicit ? ready + profiles.invoke_gap(d.node, path[j], fb) : ready;
+      s.invocation[j] = std::max(s.invocation[j], at);
+      if (--s.waiting[j] == 0) s.order.push_back(j);
+    }
+  }
+  return plan;
 }
 
 }  // namespace
 
-JitPlan plan_explicit(const MlpResult& mlp, const BranchModel& model,
+JitPlan plan_explicit(std::span<const NodeId> path, const BranchModel& model,
                       const ProfileTable& profiles, const JitOptions& options) {
-  JitPlan plan;
-  plan.deployments.reserve(mlp.path.size());
-  // node -> expected completion time relative to request arrival
-  // (the listing's node.maxDelay).
-  std::unordered_map<NodeId, sim::Duration> max_delay;
-
-  for (const NodeId node : mlp.path) {
-    const std::vector<NodeId> parents = mlp_parents(node, mlp, model);
-    Deployment d;
-    d.node = node;
-    if (parents.empty()) {
-      // Root nodes are invoked immediately; deploy now.  Their first
-      // completion is a cold response (the provisioning races the request).
-      d.deploy_delay = sim::Duration::zero();
-      d.expected_invocation = sim::Duration::zero();
-      max_delay[node] = profile_cold(profiles, node, options.fallbacks);
-    } else {
-      // m:1 barrier: the child is invoked when its slowest parent finishes.
-      sim::Duration invocation = sim::Duration::zero();
-      for (const NodeId parent : parents) {
-        invocation = std::max(invocation, max_delay.at(parent));
-      }
-      d.expected_invocation = invocation;
-      const sim::Duration startup =
-          profile_startup(profiles, node, options.fallbacks);
-      d.deploy_delay =
-          (invocation - startup - options.safety_margin).clamped_non_negative();
-      max_delay[node] =
-          invocation + profile_warm(profiles, node, options.fallbacks);
-    }
-    plan.deployments.push_back(d);
-  }
-  return plan;
+  return plan(path, model, profiles, options, /*implicit=*/false);
 }
 
-JitPlan plan_implicit(const MlpResult& mlp, const BranchModel& model,
+JitPlan plan_implicit(std::span<const NodeId> path, const BranchModel& model,
                       const ProfileTable& profiles, const JitOptions& options) {
-  JitPlan plan;
-  plan.deployments.reserve(mlp.path.size());
-  // node -> expected trigger time relative to request arrival, accumulated
-  // from learned parent-to-child invoke gaps.
-  std::unordered_map<NodeId, sim::Duration> invoke_time;
-
-  for (const NodeId node : mlp.path) {
-    const std::vector<NodeId> parents = mlp_parents(node, mlp, model);
-    Deployment d;
-    d.node = node;
-    if (parents.empty()) {
-      d.deploy_delay = sim::Duration::zero();
-      d.expected_invocation = sim::Duration::zero();
-      invoke_time[node] = sim::Duration::zero();
-    } else {
-      sim::Duration invocation = sim::Duration::zero();
-      for (const NodeId parent : parents) {
-        const sim::Duration gap =
-            profiles.invoke_gap(parent, node, options.fallbacks);
-        invocation = std::max(invocation, invoke_time.at(parent) + gap);
-      }
-      d.expected_invocation = invocation;
-      const sim::Duration startup =
-          profile_startup(profiles, node, options.fallbacks);
-      d.deploy_delay =
-          (invocation - startup - options.safety_margin).clamped_non_negative();
-      invoke_time[node] = invocation;
-    }
-    plan.deployments.push_back(d);
-  }
-  return plan;
+  // Learned trigger-to-trigger invoke gaps replace the explicit recurrence's
+  // response-time estimates.
+  return plan(path, model, profiles, options, /*implicit=*/true);
 }
 
 }  // namespace xanadu::core

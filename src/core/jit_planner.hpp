@@ -21,7 +21,23 @@
 // A safety margin makes workers ready slightly early, absorbing estimation
 // error at a small pre-use idle cost (visible in C_R_memory as the ~2.2x
 // JIT-vs-cold factor of Figure 13b).
+//
+// Evaluation order: a node's MLP parents are the path nodes whose learned
+// children include it, found in one pass over each path node's model edges.
+// The recurrence is evaluated in a topological order of that parent
+// relation (Kahn's algorithm), not in path order: the MLP is breadth-first,
+// so on a skip edge (A->B->C->E beside A->E, MLP [A, B, E, C]) E comes before
+// its parent C, and E's invocation is still the maximum over A and C.
+// Deployments are emitted in path order, which fixes the order prewarms are
+// issued in.  A path whose parents all precede their children is evaluated
+// front to back, exactly as a path-order walk would.  Nodes on a cycle --
+// only a corrupt restored model can hold one -- are never released and
+// deploy at once.
+//
+// Cost: O(path + edges out of path nodes) per plan.  Working storage is
+// reused across calls, so a warm planner allocates only the returned plan.
 
+#include <span>
 #include <vector>
 
 #include "core/branch_model.hpp"
@@ -40,7 +56,7 @@ struct Deployment {
 };
 
 struct JitPlan {
-  std::vector<Deployment> deployments;  // MLP order (parents first)
+  std::vector<Deployment> deployments;  // Path order.
 };
 
 struct JitOptions {
@@ -52,15 +68,34 @@ struct JitOptions {
   ProfileFallbacks fallbacks;
 };
 
-/// Algorithm 2 (explicit workflows): completion-time recurrence over the MLP.
-[[nodiscard]] JitPlan plan_explicit(const MlpResult& mlp, const BranchModel& model,
+/// Algorithm 2 (explicit workflows): completion-time recurrence over `path`
+/// (an MLP, or the part of one the caller acts on).
+[[nodiscard]] JitPlan plan_explicit(std::span<const NodeId> path,
+                                    const BranchModel& model,
                                     const ProfileTable& profiles,
                                     const JitOptions& options = {});
 
 /// Implicit-chain variant: the cold/warm response estimates of lines 5 and
 /// 10 are replaced by learned parent-to-child invoke gaps.
-[[nodiscard]] JitPlan plan_implicit(const MlpResult& mlp, const BranchModel& model,
+[[nodiscard]] JitPlan plan_implicit(std::span<const NodeId> path,
+                                    const BranchModel& model,
                                     const ProfileTable& profiles,
                                     const JitOptions& options = {});
+
+/// Plans over a whole estimated path.
+[[nodiscard]] inline JitPlan plan_explicit(const MlpResult& mlp,
+                                           const BranchModel& model,
+                                           const ProfileTable& profiles,
+                                           const JitOptions& options = {}) {
+  return plan_explicit(std::span<const NodeId>{mlp.path}, model, profiles,
+                       options);
+}
+[[nodiscard]] inline JitPlan plan_implicit(const MlpResult& mlp,
+                                           const BranchModel& model,
+                                           const ProfileTable& profiles,
+                                           const JitOptions& options = {}) {
+  return plan_implicit(std::span<const NodeId>{mlp.path}, model, profiles,
+                       options);
+}
 
 }  // namespace xanadu::core

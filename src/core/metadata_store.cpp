@@ -1,5 +1,6 @@
 #include "core/metadata_store.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace xanadu::core {
@@ -35,6 +36,17 @@ Result<std::pair<double, std::size_t>> ema_from_json(const JsonValue& json,
   }
   return std::pair{value->as_number(),
                    static_cast<std::size_t>(count->as_number())};
+}
+
+/// Reads a node id: a whole number in [0, kMaxStoredNodeId].  The caller has
+/// checked that `json` is a number.
+std::optional<NodeId> node_id_from_json(const JsonValue& json) {
+  const double v = json.as_number();
+  if (!(v >= 0.0 && v <= static_cast<double>(kMaxStoredNodeId)) ||
+      v != std::floor(v)) {
+    return std::nullopt;
+  }
+  return NodeId{static_cast<std::uint64_t>(v)};
 }
 
 }  // namespace
@@ -102,8 +114,10 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
     if (select_value < 0 || select_value > static_cast<int>(SelectMode::Auto)) {
       return Error{"branch model: unknown select mode"};
     }
+    const std::optional<NodeId> node_id = node_id_from_json(*id);
+    if (!node_id) return Error{"branch model: node id out of range"};
     ModelNode node;
-    node.id = NodeId{static_cast<std::uint64_t>(id->as_number())};
+    node.id = *node_id;
     node.select = static_cast<SelectMode>(select_value);
     node.request_count = static_cast<std::size_t>(request_count->as_number());
     for (const JsonValue& edge_value : children->as_array()) {
@@ -117,9 +131,10 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
           !count->is_number()) {
         return Error{"branch model: malformed edge fields"};
       }
+      const std::optional<NodeId> child_id = node_id_from_json(*child);
+      if (!child_id) return Error{"branch model: edge child id out of range"};
       node.children.push_back(LearnedEdge{
-          NodeId{static_cast<std::uint64_t>(child->as_number())},
-          probability->as_number(),
+          *child_id, probability->as_number(),
           static_cast<std::size_t>(count->as_number())});
     }
     model.restore_node(std::move(node));
@@ -130,7 +145,9 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
   }
   for (const JsonValue& root : roots->as_array()) {
     if (!root.is_number()) return Error{"branch model: malformed root"};
-    model.restore_root(NodeId{static_cast<std::uint64_t>(root.as_number())});
+    const std::optional<NodeId> root_id = node_id_from_json(root);
+    if (!root_id) return Error{"branch model: root id out of range"};
+    model.restore_root(*root_id);
   }
   return model;
 }
@@ -190,8 +207,9 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
     if (node == nullptr || !node->is_number()) {
       return Error{"profile table: malformed function node id"};
     }
-    FunctionProfile& profile =
-        profiles.function(NodeId{static_cast<std::uint64_t>(node->as_number())});
+    const std::optional<NodeId> node_id = node_id_from_json(*node);
+    if (!node_id) return Error{"profile table: function node id out of range"};
+    FunctionProfile& profile = profiles.function(*node_id);
     for (const auto& [field, ema] :
          {std::pair{"cold_response", &profile.cold_response_ema()},
           std::pair{"startup", &profile.startup_ema()},
@@ -218,12 +236,15 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
         !child->is_number() || ema == nullptr) {
       return Error{"profile table: malformed gap fields"};
     }
+    const std::optional<NodeId> parent_id = node_id_from_json(*parent);
+    const std::optional<NodeId> child_id = node_id_from_json(*child);
+    if (!parent_id || !child_id) {
+      return Error{"profile table: gap node id out of range"};
+    }
     auto state = ema_from_json(*ema, "invoke_gap");
     if (!state.ok()) return state.error();
-    profiles.restore_invoke_gap(
-        NodeId{static_cast<std::uint64_t>(parent->as_number())},
-        NodeId{static_cast<std::uint64_t>(child->as_number())},
-        state.value().first, state.value().second);
+    profiles.restore_invoke_gap(*parent_id, *child_id, state.value().first,
+                                state.value().second);
   }
   return profiles;
 }

@@ -12,6 +12,7 @@
 // name; the in-memory backend can be snapshotted to / loaded from a single
 // JSON file.
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -29,8 +30,15 @@ struct WorkflowMetadata {
   ProfileTable profiles{0.3};
 };
 
+/// Largest node id a stored document may name.  BranchModel and
+/// ProfileTable index their storage by node id, so parsing rejects larger
+/// (or negative, or fractional) ids instead of growing that storage to match;
+/// real workflows are far smaller.
+inline constexpr std::uint64_t kMaxStoredNodeId = (std::uint64_t{1} << 16) - 1;
+
 /// Serialises learned state to a JSON value and back.  The format is
-/// versioned; parsing rejects unknown versions with a descriptive error.
+/// versioned; parsing rejects unknown versions and out-of-range node ids with
+/// a descriptive error.
 [[nodiscard]] common::JsonValue to_json(const BranchModel& model);
 [[nodiscard]] common::Result<BranchModel> branch_model_from_json(
     const common::JsonValue& json);

@@ -13,8 +13,8 @@
 // 1:1 and XOR relationships L is upper-bounded by 1 and behaves like a
 // probability; for multicast and m:n it can exceed 1, as the paper notes).
 
+#include <algorithm>
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "core/branch_model.hpp"
@@ -31,18 +31,34 @@ struct MlpOptions {
   std::size_t max_nodes = 0;
 };
 
+/// The estimated path and what Algorithm 1 learned about each node on it.
+/// The three vectors are aligned: entry i of `likelihood` and
+/// `predicted_choice` describes `path[i]`.  Paths are short (the workflow's
+/// depth, cut by the aggressiveness knob), so lookups by node id scan the
+/// path rather than hash it.
 struct MlpResult {
-  /// Nodes on the most likely path, in breadth-first discovery order
-  /// (parents before children).
+  /// Nodes on the most likely path, in breadth-first discovery order.  A
+  /// node reached along a skip edge (A->E beside A->B->C->E) can come before
+  /// one of its parents.
   std::vector<NodeId> path;
   /// Likelihood factor L_j of each path node (roots get 1.0).
-  std::unordered_map<NodeId, double> likelihood;
+  std::vector<double> likelihood;
   /// For each Xor/conditional parent on the path, the child predicted to be
-  /// taken.  Used for prediction-miss detection.
-  std::unordered_map<NodeId, NodeId> predicted_choice;
+  /// taken; an invalid id elsewhere.  Used for prediction-miss detection.
+  std::vector<NodeId> predicted_choice;
 
+  /// Index of `id` in `path`, or path.size() when it is not on the path.
+  [[nodiscard]] std::size_t position(NodeId id) const {
+    return static_cast<std::size_t>(
+        std::find(path.begin(), path.end(), id) - path.begin());
+  }
   [[nodiscard]] bool contains(NodeId id) const {
-    return likelihood.contains(id);
+    return position(id) < path.size();
+  }
+  /// The child predicted for `parent`; an invalid id when there is none.
+  [[nodiscard]] NodeId predicted(NodeId parent) const {
+    const std::size_t i = position(parent);
+    return i < path.size() ? predicted_choice[i] : NodeId{};
   }
 };
 

@@ -9,9 +9,8 @@
 // invokes its child."  These profiles feed the JIT deployment planner
 // (Algorithm 2) and its implicit-chain variant.
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/ema.hpp"
@@ -78,6 +77,12 @@ class FunctionProfile {
 /// Profile table for one workflow: per-node function profiles plus per-edge
 /// invoke-gap estimates (trigger-to-trigger delay between a parent and the
 /// child it invokes; used by the implicit-chain JIT variant).
+///
+/// Node ids come from the workflow DAG and are dense, so the table is a
+/// vector indexed by node id; each slot holds the node's profile (if any)
+/// and its outgoing invoke gaps sorted by child.  Lookups are O(1) plus a
+/// scan of one parent's gaps.  A reference returned by function() stays
+/// valid until the table grows to a larger node id.
 class ProfileTable {
  public:
   explicit ProfileTable(double alpha = 0.3) : alpha_(alpha) {}
@@ -97,31 +102,17 @@ class ProfileTable {
   /// persisted documents and digests are independent of hash layout.
   template <typename Fn>
   void for_each_function(Fn&& fn) const {
-    std::vector<NodeId> nodes;
-    nodes.reserve(functions_.size());
-    for (const auto& [node, profile] : functions_) {  // lint:allow(unordered-iteration)
-      (void)profile;
-      nodes.push_back(node);
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (slots_[i].profile) fn(NodeId{i}, *slots_[i].profile);
     }
-    std::sort(nodes.begin(), nodes.end());
-    for (const NodeId node : nodes) fn(node, functions_.at(node));
   }
 
   /// Visits every learned invoke-gap EMA as (parent, child, ema), ordered by
   /// (parent, child) for the same reproducibility reason.
   template <typename Fn>
   void for_each_invoke_gap(Fn&& fn) const {
-    std::vector<EdgeKey> keys;
-    keys.reserve(invoke_gaps_.size());
-    for (const auto& [key, ema] : invoke_gaps_) {  // lint:allow(unordered-iteration)
-      (void)ema;
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end(), [](const EdgeKey& a, const EdgeKey& b) {
-      return a.parent != b.parent ? a.parent < b.parent : a.child < b.child;
-    });
-    for (const EdgeKey& key : keys) {
-      fn(key.parent, key.child, invoke_gaps_.at(key));
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      for (const ChildGap& gap : slots_[i].gaps) fn(NodeId{i}, gap.child, gap.ema);
     }
   }
 
@@ -130,21 +121,20 @@ class ProfileTable {
                           std::size_t count);
 
  private:
-  struct EdgeKey {
-    NodeId parent;
+  struct ChildGap {
     NodeId child;
-    bool operator==(const EdgeKey&) const = default;
+    common::Ema ema;
   };
-  struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& k) const {
-      return std::hash<NodeId>{}(k.parent) * 1000003u ^
-             std::hash<NodeId>{}(k.child);
-    }
+  struct Slot {
+    std::optional<FunctionProfile> profile;
+    std::vector<ChildGap> gaps;  // Sorted by child.
   };
 
+  Slot& slot(NodeId node);
+  common::Ema& gap_ema(NodeId parent, NodeId child);
+
   double alpha_;
-  std::unordered_map<NodeId, FunctionProfile> functions_;
-  std::unordered_map<EdgeKey, common::Ema, EdgeKeyHash> invoke_gaps_;
+  std::vector<Slot> slots_;  // Indexed by node id.
 };
 
 }  // namespace xanadu::core

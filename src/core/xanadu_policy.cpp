@@ -76,19 +76,13 @@ void XanaduPolicy::on_request_submitted(PlatformEngine& engine,
   if (options_.mode == SpeculationMode::Off) return;
 
   wf.model.finalize_pending();
-  MlpOptions mlp_options = options_.mlp;
-  rs.mlp = estimate_mlp(wf.model, mlp_options);
+  rs.mlp = estimate_mlp(wf.model, options_.mlp);
   if (rs.mlp.path.empty()) return;  // Implicit chain not discovered yet.
 
   // Deployment aggressiveness (Section 3.2.1): only look ahead a fraction
   // of the estimated path.
-  const std::size_t cut = aggressiveness_cut(rs.mlp.path.size());
-  if (cut < rs.mlp.path.size()) {
-    std::vector<NodeId> trimmed(rs.mlp.path.begin(),
-                                rs.mlp.path.begin() + static_cast<long>(cut));
-    rs.mlp.path = std::move(trimmed);
-  }
-  ctx.speculation.predicted_nodes = rs.mlp.path.size();
+  rs.planned = aggressiveness_cut(rs.mlp.path.size());
+  ctx.speculation.predicted_nodes = rs.planned;
 
   launch_speculation(engine, ctx, wf, rs, NodeId{}, sim::Duration::zero());
 }
@@ -97,25 +91,26 @@ void XanaduPolicy::launch_speculation(PlatformEngine& engine, RequestContext& ct
                                       WorkflowState& wf, RequestState& rs,
                                       NodeId from_node,
                                       sim::Duration base_offset) {
-  // Determine the sub-path to act on: the full MLP, or (on replan) the
-  // portion re-estimated from `from_node`.
-  std::vector<NodeId> path = rs.mlp.path;
+  // Determine the sub-path to act on: the planned MLP prefix, or (on
+  // replan) the path re-estimated from `from_node`.
+  std::span<const NodeId> path = rs.planned_path();
+  MlpResult fresh;
   if (from_node.valid()) {
     // Re-estimate from the node the workflow actually took.
     BranchModel rooted = wf.model;  // Cheap relative to a prediction miss.
     rooted.finalize_pending();
-    const MlpResult fresh = estimate_mlp_from(rooted, {from_node}, options_.mlp);
+    fresh = estimate_mlp_from(rooted, {from_node}, options_.mlp);
     path = fresh.path;
 
     if (options_.reuse_workers_on_miss) {
       // Section 7 extension: sandboxes deployed for the stale path are
       // recycled into the fresh path before any new provisioning starts.
       std::vector<NodeId> stale;
-      for (const NodeId id : rs.mlp.path) {
+      for (const NodeId id : rs.planned_path()) {
         if (ctx.nodes[id.value()].status != platform::NodeStatus::Pending) {
           continue;
         }
-        if (!fresh.likelihood.contains(id)) stale.push_back(id);
+        if (!fresh.contains(id)) stale.push_back(id);
       }
       for (const NodeId target_node : path) {
         if (stale.empty()) break;
@@ -142,18 +137,20 @@ void XanaduPolicy::launch_speculation(PlatformEngine& engine, RequestContext& ct
       }
     }
 
-    for (const NodeId id : path) {
-      if (!rs.mlp.contains(id)) {
-        rs.mlp.path.push_back(id);
-        rs.mlp.likelihood.emplace(id, fresh.likelihood.at(id));
+    for (std::size_t i = 0; i < fresh.path.size(); ++i) {
+      if (!rs.mlp.contains(fresh.path[i])) {
+        rs.add_planned(fresh.path[i], fresh.likelihood[i]);
       }
     }
-    // Keyed assignment into a map: each parent is written once, so the
-    // merge is independent of source iteration order.
-    for (const auto& [parent, child] : fresh.predicted_choice) {  // lint:allow(unordered-iteration)
-      rs.mlp.predicted_choice[parent] = child;
+    // Every fresh node is on the request's MLP now; the fresh predictions
+    // overwrite older ones for the same parent.
+    for (std::size_t i = 0; i < fresh.path.size(); ++i) {
+      if (fresh.predicted_choice[i].valid()) {
+        rs.mlp.predicted_choice[rs.mlp.position(fresh.path[i])] =
+            fresh.predicted_choice[i];
+      }
     }
-    ctx.speculation.predicted_nodes = rs.mlp.path.size();
+    ctx.speculation.predicted_nodes = rs.planned;
   }
 
   if (options_.mode == SpeculationMode::Speculative) {
@@ -168,13 +165,10 @@ void XanaduPolicy::launch_speculation(PlatformEngine& engine, RequestContext& ct
   }
 
   // JIT: build the Algorithm-2 timeline and schedule deployments.
-  MlpResult sub;
-  sub.path = path;
-  sub.likelihood = rs.mlp.likelihood;
   const JitPlan plan =
       options_.knowledge == ChainKnowledge::Explicit
-          ? plan_explicit(sub, wf.model, wf.profiles, options_.jit)
-          : plan_implicit(sub, wf.model, wf.profiles, options_.jit);
+          ? plan_explicit(path, wf.model, wf.profiles, options_.jit)
+          : plan_implicit(path, wf.model, wf.profiles, options_.jit);
   for (const Deployment& d : plan.deployments) {
     const NodeStatus status = ctx.nodes[d.node.value()].status;
     if (status != NodeStatus::Pending) continue;
@@ -250,9 +244,8 @@ void XanaduPolicy::on_xor_resolved(PlatformEngine& engine, RequestContext& ctx,
   auto it = requests_.find(ctx.id);
   if (it == requests_.end()) return;
   RequestState& rs = it->second;
-  auto predicted = rs.mlp.predicted_choice.find(parent);
-  if (predicted == rs.mlp.predicted_choice.end()) return;
-  if (predicted->second == chosen) return;
+  const NodeId predicted = rs.mlp.predicted(parent);
+  if (!predicted.valid() || predicted == chosen) return;
 
   // Prediction miss (Section 3.2.2): stop all planned proactive
   // provisioning immediately.
@@ -291,7 +284,7 @@ void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
       // Section 7 extension: hand the mis-deployed sandbox to a pending node
       // on the (replanned) path that has no coverage yet, if the
       // architectures match.
-      for (const NodeId candidate : rs.mlp.path) {
+      for (const NodeId candidate : rs.planned_path()) {
         const auto status = ctx.nodes[candidate.value()].status;
         if (status != platform::NodeStatus::Pending) continue;
         const auto target = engine.function_id(ctx.workflow, candidate);

@@ -28,6 +28,8 @@
 // chosen branch and speculation resumes on the new path.
 
 #include <algorithm>
+#include <cstddef>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -130,7 +132,12 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
         : scheduled(common::ArenaAllocator<common::EventId>(arena)),
           prewarmed_nodes(common::ArenaAllocator<std::uint64_t>(arena)) {}
 
+    /// The request's MLP.  Its first `planned` nodes are the ones acted on:
+    /// the aggressiveness cut of the estimate, then any nodes a replan
+    /// added.  The rest still count as predicted (miss detection), but get
+    /// no deployment.
     MlpResult mlp;
+    std::size_t planned = 0;
     /// Planned-but-unfired proactive deployments (cancellable).
     common::ArenaVector<common::EventId> scheduled;
     /// Nodes with a speculative deployment issued, deduplicated.  A flat
@@ -145,6 +152,17 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
     }
     void mark_prewarmed(std::uint64_t node) {
       if (!prewarmed(node)) prewarmed_nodes.push_back(node);
+    }
+    [[nodiscard]] std::span<const NodeId> planned_path() const {
+      return {mlp.path.data(), planned};
+    }
+    /// Appends `id` to the acted-on nodes, ahead of the ones the
+    /// aggressiveness cut left out.
+    void add_planned(NodeId id, double likelihood) {
+      const auto at = static_cast<std::ptrdiff_t>(planned++);
+      mlp.path.insert(mlp.path.begin() + at, id);
+      mlp.likelihood.insert(mlp.likelihood.begin() + at, likelihood);
+      mlp.predicted_choice.insert(mlp.predicted_choice.begin() + at, NodeId{});
     }
   };
 

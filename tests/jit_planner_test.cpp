@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/dispatch_manager.hpp"
 #include "core/jit_planner.hpp"
 #include "workflow/builders.hpp"
 
@@ -176,6 +177,99 @@ TEST_F(JitPlannerTest, DeploymentsSpreadAcrossChainLifetime) {
   }
   // Tail deployments happen tens of seconds into the workflow.
   EXPECT_GT(plan.deployments.back().deploy_delay.seconds(), 30.0);
+}
+
+/// A->B->C->E plus the skip edge A->E.  The MLP is breadth-first, so it is
+/// [A, B, E, C]: E comes before its parent C.
+workflow::WorkflowDag skip_edge_dag() {
+  workflow::WorkflowDag dag{"skip_edge"};
+  const NodeId a = dag.add_node(workflow::FunctionSpec{.name = "a"});
+  const NodeId b = dag.add_node(workflow::FunctionSpec{.name = "b"});
+  const NodeId c = dag.add_node(workflow::FunctionSpec{.name = "c"});
+  const NodeId e = dag.add_node(workflow::FunctionSpec{.name = "e"});
+  dag.add_edge(a, b);
+  dag.add_edge(a, e);
+  dag.add_edge(b, c);
+  dag.add_edge(c, e);
+  dag.validate();
+  return dag;
+}
+
+TEST_F(JitPlannerTest, SkipEdgeExplicitWaitsForTheLaterParent) {
+  const BranchModel model = BranchModel::from_schema(skip_edge_dag());
+  const MlpResult mlp = estimate_mlp(model);
+  ASSERT_EQ(mlp.path, (std::vector<NodeId>{NodeId{0}, NodeId{1}, NodeId{3},
+                                           NodeId{2}}));
+  ProfileTable table;
+  for (std::size_t i = 0; i < 4; ++i) {
+    set_profile(table, NodeId{i}, 4000, 3000, 1000);
+  }
+  const JitPlan plan = plan_explicit(mlp, model, table, no_margin());
+  ASSERT_EQ(plan.deployments.size(), 4u);
+  // Path order: A completes at 4000 (cold), B at 5000, C at 6000.  E is
+  // invoked when the later of A and C finishes: max(4000, 6000) = 6000.
+  const std::vector<NodeId> order{NodeId{0}, NodeId{1}, NodeId{3}, NodeId{2}};
+  const double invoked[] = {0.0, 4000.0, 6000.0, 5000.0};
+  const double deployed[] = {0.0, 1000.0, 3000.0, 2000.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(plan.deployments[i].node, order[i]);
+    EXPECT_NEAR(plan.deployments[i].expected_invocation.millis(), invoked[i],
+                1e-6);
+    EXPECT_NEAR(plan.deployments[i].deploy_delay.millis(), deployed[i], 1e-6);
+  }
+}
+
+TEST_F(JitPlannerTest, SkipEdgeImplicitTakesTheLatestParentGap) {
+  const BranchModel model = BranchModel::from_schema(skip_edge_dag());
+  ProfileTable table;
+  for (std::size_t i = 0; i < 4; ++i) {
+    set_profile(table, NodeId{i}, 9999, 500, 9999);  // responses unused
+  }
+  table.observe_invoke_gap(NodeId{0}, NodeId{1}, Duration::from_millis(1000));
+  table.observe_invoke_gap(NodeId{1}, NodeId{2}, Duration::from_millis(1000));
+  table.observe_invoke_gap(NodeId{2}, NodeId{3}, Duration::from_millis(1000));
+  table.observe_invoke_gap(NodeId{0}, NodeId{3}, Duration::from_millis(500));
+  const JitPlan plan =
+      plan_implicit(estimate_mlp(model), model, table, no_margin());
+  ASSERT_EQ(plan.deployments.size(), 4u);
+  // B at 1000, C at 2000, E at max(0 + 500, 2000 + 1000) = 3000.
+  const double invoked[] = {0.0, 1000.0, 3000.0, 2000.0};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NEAR(plan.deployments[i].expected_invocation.millis(), invoked[i],
+                1e-6);
+    EXPECT_NEAR(plan.deployments[i].deploy_delay.millis(),
+                i == 0 ? 0.0 : invoked[i] - 500.0, 1e-6);
+  }
+}
+
+TEST(JitPlannerEndToEnd, SkipEdgeWorkflowCompletesUnderXanaduJit) {
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduJit;
+  DispatchManager manager{options};
+  const auto wf = manager.deploy(skip_edge_dag());
+  for (int i = 0; i < 3; ++i) {
+    const platform::RequestResult result = manager.invoke(wf);
+    EXPECT_FALSE(result.failed) << "request " << i;
+    EXPECT_EQ(result.executed_nodes, 4u) << "request " << i;
+  }
+}
+
+TEST_F(JitPlannerTest, CyclicRestoredModelPlansWithoutThrowing) {
+  // Only a corrupt restored model can hold a cycle: its nodes are never
+  // released by the topological walk and deploy at once.
+  BranchModel model;
+  model.restore_node(ModelNode{NodeId{0}, SelectMode::All, 0,
+                               {LearnedEdge{NodeId{1}, 1.0, 0}}});
+  model.restore_node(ModelNode{NodeId{1}, SelectMode::All, 0,
+                               {LearnedEdge{NodeId{2}, 1.0, 0}}});
+  model.restore_node(ModelNode{NodeId{2}, SelectMode::All, 0,
+                               {LearnedEdge{NodeId{1}, 1.0, 0}}});
+  const std::vector<NodeId> path{NodeId{0}, NodeId{1}, NodeId{2}};
+  const ProfileTable table;
+  const JitPlan plan = plan_explicit(path, model, table, no_margin());
+  ASSERT_EQ(plan.deployments.size(), 3u);
+  EXPECT_EQ(plan.deployments[1].deploy_delay, Duration::zero());
+  EXPECT_EQ(plan.deployments[2].deploy_delay, Duration::zero());
 }
 
 }  // namespace

@@ -136,6 +136,56 @@ TEST(MetadataStore, TruncatedDumpsRejected) {
   EXPECT_FALSE(MetadataStore::parse(R"({"checkout": {)").ok());
 }
 
+TEST(MetadataStore, OutOfRangeNodeIdsRejected) {
+  // BranchModel and ProfileTable index their storage by node id, so a
+  // document naming node 2^40 (or a negative or fractional id) must be
+  // rejected rather than grow that storage to match.
+  auto model = [](const std::string& node_id, const std::string& child,
+                  const std::string& root) {
+    const std::string text =
+        R"({"version": 1, "roots": [)" + root + R"(], "nodes": [{"id": )" +
+        node_id + R"(, "select": 0, "request_count": 1, "children": [)" +
+        R"({"child": )" + child + R"(, "probability": 1, "count": 1}]}]})";
+    auto json = common::parse_json(text);
+    EXPECT_TRUE(json.ok()) << text;
+    return branch_model_from_json(json.value());
+  };
+  auto profiles = [](const std::string& node_id, const std::string& parent,
+                     const std::string& child) {
+    const std::string ema = R"({"value": 1, "count": 1})";
+    const std::string text =
+        R"({"version": 1, "alpha": 0.3, "functions": [{"node": )" + node_id +
+        R"(, "cold_response": )" + ema + R"(, "startup": )" + ema +
+        R"(, "warm_response": )" + ema + R"(}], "invoke_gaps": [{"parent": )" +
+        parent + R"(, "child": )" + child + R"(, "ema": )" + ema + "}]}";
+    auto json = common::parse_json(text);
+    EXPECT_TRUE(json.ok()) << text;
+    return profile_table_from_json(json.value());
+  };
+  const std::string max = std::to_string(kMaxStoredNodeId);
+  ASSERT_TRUE(model(max, "0", max).ok());
+  ASSERT_TRUE(profiles(max, max, "0").ok());
+  EXPECT_EQ(model(max, "0", "0").value().node_count(), 1u);
+
+  for (const std::string& bad :
+       {std::string{"1099511627776"}, std::to_string(kMaxStoredNodeId + 1),
+        std::string{"-1"}, std::string{"0.5"}, std::string{"1e300"}}) {
+    SCOPED_TRACE(bad);
+    for (const auto& result :
+         {model(bad, "0", "0"), model("0", bad, "0"), model("0", "0", bad)}) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
+          << result.error().message;
+    }
+    for (const auto& result : {profiles(bad, "0", "1"), profiles("0", bad, "1"),
+                               profiles("0", "0", bad)}) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
+          << result.error().message;
+    }
+  }
+}
+
 TEST(MetadataStore, DuplicateKeysRejected) {
   // Duplicate workflow keys (or duplicate fields inside a document) mean
   // the dump was corrupted or hand-merged badly; last-wins would silently
