@@ -1,6 +1,8 @@
 #include "core/metadata_store.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <utility>
 
 namespace xanadu::core {
@@ -14,6 +16,21 @@ using common::Result;
 namespace {
 
 constexpr double kFormatVersion = 1.0;
+
+/// The largest count a JSON number (a double) holds exactly.
+constexpr std::uint64_t kMaxStoredCount = std::uint64_t{1} << 53;
+
+/// Reads a whole number in [0, max].  The caller has checked that `json` is
+/// a number.  Negative, fractional and huge values (whose conversion to an
+/// integer would be undefined) all come back empty.
+std::optional<std::uint64_t> whole_from_json(const JsonValue& json,
+                                             std::uint64_t max) {
+  const double v = json.as_number();
+  if (!(v >= 0.0 && v <= static_cast<double>(max)) || v != std::floor(v)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(v);
+}
 
 JsonValue ema_to_json(const common::Ema& ema) {
   JsonObject obj;
@@ -31,22 +48,13 @@ Result<std::pair<double, std::size_t>> ema_from_json(const JsonValue& json,
   const JsonValue* value = obj.find("value");
   const JsonValue* count = obj.find("count");
   if (value == nullptr || !value->is_number() || count == nullptr ||
-      !count->is_number() || count->as_number() < 0) {
+      !count->is_number()) {
     return Error{std::string{what} + ": malformed EMA state"};
   }
-  return std::pair{value->as_number(),
-                   static_cast<std::size_t>(count->as_number())};
-}
-
-/// Reads a node id: a whole number in [0, kMaxStoredNodeId].  The caller has
-/// checked that `json` is a number.
-std::optional<NodeId> node_id_from_json(const JsonValue& json) {
-  const double v = json.as_number();
-  if (!(v >= 0.0 && v <= static_cast<double>(kMaxStoredNodeId)) ||
-      v != std::floor(v)) {
-    return std::nullopt;
-  }
-  return NodeId{static_cast<std::uint64_t>(v)};
+  const std::optional<std::uint64_t> n =
+      whole_from_json(*count, kMaxStoredCount);
+  if (!n) return Error{std::string{what} + ": EMA count out of range"};
+  return std::pair{value->as_number(), static_cast<std::size_t>(*n)};
 }
 
 }  // namespace
@@ -110,16 +118,19 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
         !children->is_array()) {
       return Error{"branch model: malformed node fields"};
     }
-    const auto select_value = static_cast<int>(select->as_number());
-    if (select_value < 0 || select_value > static_cast<int>(SelectMode::Auto)) {
-      return Error{"branch model: unknown select mode"};
-    }
-    const std::optional<NodeId> node_id = node_id_from_json(*id);
+    const std::optional<std::uint64_t> select_value = whole_from_json(
+        *select, static_cast<std::uint64_t>(SelectMode::Auto));
+    if (!select_value) return Error{"branch model: select mode out of range"};
+    const std::optional<std::uint64_t> node_id =
+        whole_from_json(*id, kMaxStoredNodeId);
     if (!node_id) return Error{"branch model: node id out of range"};
+    const std::optional<std::uint64_t> requests =
+        whole_from_json(*request_count, kMaxStoredCount);
+    if (!requests) return Error{"branch model: request count out of range"};
     ModelNode node;
-    node.id = *node_id;
-    node.select = static_cast<SelectMode>(select_value);
-    node.request_count = static_cast<std::size_t>(request_count->as_number());
+    node.id = NodeId{*node_id};
+    node.select = static_cast<SelectMode>(*select_value);
+    node.request_count = static_cast<std::size_t>(*requests);
     for (const JsonValue& edge_value : children->as_array()) {
       if (!edge_value.is_object()) return Error{"branch model: malformed edge"};
       const JsonObject& edge = edge_value.as_object();
@@ -131,11 +142,15 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
           !count->is_number()) {
         return Error{"branch model: malformed edge fields"};
       }
-      const std::optional<NodeId> child_id = node_id_from_json(*child);
+      const std::optional<std::uint64_t> child_id =
+          whole_from_json(*child, kMaxStoredNodeId);
       if (!child_id) return Error{"branch model: edge child id out of range"};
-      node.children.push_back(LearnedEdge{
-          *child_id, probability->as_number(),
-          static_cast<std::size_t>(count->as_number())});
+      const std::optional<std::uint64_t> edge_count =
+          whole_from_json(*count, kMaxStoredCount);
+      if (!edge_count) return Error{"branch model: edge count out of range"};
+      node.children.push_back(
+          LearnedEdge{NodeId{*child_id}, probability->as_number(),
+                      static_cast<std::size_t>(*edge_count)});
     }
     model.restore_node(std::move(node));
   }
@@ -145,9 +160,10 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
   }
   for (const JsonValue& root : roots->as_array()) {
     if (!root.is_number()) return Error{"branch model: malformed root"};
-    const std::optional<NodeId> root_id = node_id_from_json(root);
+    const std::optional<std::uint64_t> root_id =
+        whole_from_json(root, kMaxStoredNodeId);
     if (!root_id) return Error{"branch model: root id out of range"};
-    model.restore_root(*root_id);
+    model.restore_root(NodeId{*root_id});
   }
   return model;
 }
@@ -207,9 +223,10 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
     if (node == nullptr || !node->is_number()) {
       return Error{"profile table: malformed function node id"};
     }
-    const std::optional<NodeId> node_id = node_id_from_json(*node);
+    const std::optional<std::uint64_t> node_id =
+        whole_from_json(*node, kMaxStoredNodeId);
     if (!node_id) return Error{"profile table: function node id out of range"};
-    FunctionProfile& profile = profiles.function(*node_id);
+    FunctionProfile& profile = profiles.function(NodeId{*node_id});
     for (const auto& [field, ema] :
          {std::pair{"cold_response", &profile.cold_response_ema()},
           std::pair{"startup", &profile.startup_ema()},
@@ -236,15 +253,17 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
         !child->is_number() || ema == nullptr) {
       return Error{"profile table: malformed gap fields"};
     }
-    const std::optional<NodeId> parent_id = node_id_from_json(*parent);
-    const std::optional<NodeId> child_id = node_id_from_json(*child);
+    const std::optional<std::uint64_t> parent_id =
+        whole_from_json(*parent, kMaxStoredNodeId);
+    const std::optional<std::uint64_t> child_id =
+        whole_from_json(*child, kMaxStoredNodeId);
     if (!parent_id || !child_id) {
       return Error{"profile table: gap node id out of range"};
     }
     auto state = ema_from_json(*ema, "invoke_gap");
     if (!state.ok()) return state.error();
-    profiles.restore_invoke_gap(*parent_id, *child_id, state.value().first,
-                                state.value().second);
+    profiles.restore_invoke_gap(NodeId{*parent_id}, NodeId{*child_id},
+                                state.value().first, state.value().second);
   }
   return profiles;
 }

@@ -139,25 +139,34 @@ TEST(MetadataStore, TruncatedDumpsRejected) {
 TEST(MetadataStore, OutOfRangeNodeIdsRejected) {
   // BranchModel and ProfileTable index their storage by node id, so a
   // document naming node 2^40 (or a negative or fractional id) must be
-  // rejected rather than grow that storage to match.
+  // rejected rather than grow that storage to match.  Counts and the select
+  // mode are cast from a JSON double to an integer too: a negative,
+  // fractional or huge value must be rejected before the cast (-1 would
+  // wrap to 2^64-1, 1e300 is undefined behaviour).
   auto model = [](const std::string& node_id, const std::string& child,
-                  const std::string& root) {
+                  const std::string& root, const std::string& select = "0",
+                  const std::string& requests = "1",
+                  const std::string& edge_count = "1") {
     const std::string text =
         R"({"version": 1, "roots": [)" + root + R"(], "nodes": [{"id": )" +
-        node_id + R"(, "select": 0, "request_count": 1, "children": [)" +
-        R"({"child": )" + child + R"(, "probability": 1, "count": 1}]}]})";
+        node_id + R"(, "select": )" + select + R"(, "request_count": )" +
+        requests + R"(, "children": [{"child": )" + child +
+        R"(, "probability": 1, "count": )" + edge_count + "}]}]}";
     auto json = common::parse_json(text);
     EXPECT_TRUE(json.ok()) << text;
     return branch_model_from_json(json.value());
   };
   auto profiles = [](const std::string& node_id, const std::string& parent,
-                     const std::string& child) {
-    const std::string ema = R"({"value": 1, "count": 1})";
+                     const std::string& child,
+                     const std::string& fn_count = "1",
+                     const std::string& gap_count = "1") {
+    const std::string ema = R"({"value": 1, "count": )" + fn_count + "}";
+    const std::string gap_ema = R"({"value": 1, "count": )" + gap_count + "}";
     const std::string text =
         R"({"version": 1, "alpha": 0.3, "functions": [{"node": )" + node_id +
         R"(, "cold_response": )" + ema + R"(, "startup": )" + ema +
         R"(, "warm_response": )" + ema + R"(}], "invoke_gaps": [{"parent": )" +
-        parent + R"(, "child": )" + child + R"(, "ema": )" + ema + "}]}";
+        parent + R"(, "child": )" + child + R"(, "ema": )" + gap_ema + "}]}";
     auto json = common::parse_json(text);
     EXPECT_TRUE(json.ok()) << text;
     return profile_table_from_json(json.value());
@@ -167,23 +176,50 @@ TEST(MetadataStore, OutOfRangeNodeIdsRejected) {
   ASSERT_TRUE(profiles(max, max, "0").ok());
   EXPECT_EQ(model(max, "0", "0").value().node_count(), 1u);
 
+  // The largest count a double holds exactly, and the last select mode.
+  const std::string max_count = "9007199254740992";  // 2^53
+  const std::string auto_mode =
+      std::to_string(static_cast<int>(SelectMode::Auto));
+  {
+    auto restored = model("0", "1", "0", auto_mode, max_count, max_count);
+    ASSERT_TRUE(restored.ok()) << restored.error().message;
+    const ModelNode* node = restored.value().find(NodeId{0});
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->select, SelectMode::Auto);
+    EXPECT_EQ(node->request_count, std::size_t{1} << 53);
+    ASSERT_EQ(node->children.size(), 1u);
+    EXPECT_EQ(node->children[0].count, std::size_t{1} << 53);
+  }
+  ASSERT_TRUE(profiles("0", "0", "1", max_count, max_count).ok());
+
+  auto expect_out_of_range = [](const auto& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
+        << result.error().message;
+  };
   for (const std::string& bad :
        {std::string{"1099511627776"}, std::to_string(kMaxStoredNodeId + 1),
         std::string{"-1"}, std::string{"0.5"}, std::string{"1e300"}}) {
     SCOPED_TRACE(bad);
-    for (const auto& result :
-         {model(bad, "0", "0"), model("0", bad, "0"), model("0", "0", bad)}) {
-      ASSERT_FALSE(result.ok());
-      EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
-          << result.error().message;
-    }
-    for (const auto& result : {profiles(bad, "0", "1"), profiles("0", bad, "1"),
-                               profiles("0", "0", bad)}) {
-      ASSERT_FALSE(result.ok());
-      EXPECT_NE(result.error().message.find("out of range"), std::string::npos)
-          << result.error().message;
-    }
+    expect_out_of_range(model(bad, "0", "0"));
+    expect_out_of_range(model("0", bad, "0"));
+    expect_out_of_range(model("0", "0", bad));
+    expect_out_of_range(profiles(bad, "0", "1"));
+    expect_out_of_range(profiles("0", bad, "1"));
+    expect_out_of_range(profiles("0", "0", bad));
   }
+  for (const std::string& bad :
+       {std::string{"-1"}, std::string{"0.5"}, std::string{"1e300"},
+        std::string{"9007199254740994"}}) {
+    SCOPED_TRACE(bad);
+    expect_out_of_range(model("0", "1", "0", bad));
+    expect_out_of_range(model("0", "1", "0", "0", bad));
+    expect_out_of_range(model("0", "1", "0", "0", "1", bad));
+    expect_out_of_range(profiles("0", "0", "1", bad));
+    expect_out_of_range(profiles("0", "0", "1", "1", bad));
+  }
+  expect_out_of_range(model(
+      "0", "1", "0", std::to_string(static_cast<int>(SelectMode::Auto) + 1)));
 }
 
 TEST(MetadataStore, DuplicateKeysRejected) {

@@ -1,9 +1,8 @@
-#!/usr/bin/env python3
-"""Determinism linter for the Xanadu simulation codebase.
+"""Determinism line rules: constructs that break same-seed replay.
 
 The whole reproduction rests on the claim that two runs with the same seed
-produce bit-identical traces.  This tool makes that claim machine-checked by
-scanning C++ sources for constructs that silently break it:
+produce bit-identical traces.  These rules scan each line of C++ source
+for constructs that silently break it:
 
   random-device        std::random_device (non-deterministic entropy source)
   libc-rand            rand()/srand() (hidden global state, seeding by time)
@@ -32,32 +31,19 @@ scanning C++ sources for constructs that silently break it:
                        subsystem mutate another's private state behind the
                        seams the decomposition established
 
-The file walking, comment/string stripping and suppression parsing come
-from the shared cppmodel front end (tools/cppmodel/); this module is the
-rule set.  A finding can be suppressed per line with an explicit escape
-hatch, either on the offending line or on the line directly above it:
-
-    // lint:allow(<rule>) optional justification
-
-Exit status is 0 when no unannotated violations remain, 1 otherwise.
-Run directly (`tools/determinism_lint.py src`) or via `ctest -R
-determinism` (or as part of the unified `xan_lint` driver).
+Directories are relative to a scanned source root; a root whose files sit
+directly at its top level, like bench/, counts under its own name.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
-import sys
-from pathlib import Path
 
-from cppmodel import Finding, SourceModel, allowed_at
+from cppmodel import Finding, allowed_at
 
-# Directories (relative to a scanned source root; a root whose files sit
-# directly at its top level, like bench/, counts under its own name) whose
-# event ordering is observable: anything here feeds the simulator's event
-# interleaving, the learned models, or emitted reports, so unordered-
-# container iteration order must not leak out.
+# Directories whose event ordering is observable: anything here feeds the
+# simulator's event interleaving, the learned models, or emitted reports,
+# so unordered-container iteration order must not leak out.
 ORDER_SENSITIVE_DIRS = (
     "sim",
     "platform",
@@ -99,17 +85,28 @@ RANGE_FOR_RE = re.compile(
 )
 BARE_ASSERT_RE = re.compile(r"(?<![\w.])assert\s*\(")
 
-# Directories (relative to the scanned source root) where std::priority_queue
-# is banned outright -- the simulator's event queue must stay the auditable
-# slab/d-ary-heap implementation (see ARCHITECTURE.md "Event-queue design").
-PRIORITY_QUEUE_DIRS = ("sim",)
-PRIORITY_QUEUE_RE = re.compile(r"\bpriority_queue\b")
-
-# Directories (relative to the scanned source root) where `friend` is banned:
-# the platform subsystems must talk through public interfaces and hook
-# structs only (see ARCHITECTURE.md "Engine decomposition").
-FRIEND_DIRS = ("platform",)
-FRIEND_RE = re.compile(r"\bfriend\b")
+# Rules banned outright in one directory: (rule, directory, regex, message).
+# The event queue must stay the auditable slab/d-ary-heap implementation
+# (ARCHITECTURE.md "Event-queue design"); the platform subsystems talk
+# through public interfaces and hook structs only ("Engine decomposition").
+DIR_RULES = [
+    (
+        "priority-queue",
+        "sim",
+        re.compile(r"\bpriority_queue\b"),
+        "std::priority_queue is banned in src/sim: keep the slab-backed "
+        "d-ary heap (supports tombstone compaction and moving callbacks "
+        "out without const_cast)",
+    ),
+    (
+        "friend-backdoor",
+        "platform",
+        re.compile(r"\bfriend\b"),
+        "friend is banned in src/platform: subsystems interact through "
+        "public interfaces and hook structs, never by reaching into each "
+        "other's private state",
+    ),
+]
 
 RULE_DOCS = {
     rule: message for rule, _pattern, message in LINE_RULES
@@ -137,14 +134,11 @@ RULE_DOCS.update(
 )
 
 
-def run_on_model(model: SourceModel) -> list[Finding]:
-    """All line rules over an already-loaded model (parse=False is
-    enough)."""
+def run(model) -> list[Finding]:
     findings: list[Finding] = []
     for sf in model.files:
         sensitive = sf.top in ORDER_SENSITIVE_DIRS
-        pq_banned = sf.top in PRIORITY_QUEUE_DIRS
-        friend_banned = sf.top in FRIEND_DIRS
+        dir_rules = [r for r in DIR_RULES if r[1] == sf.top]
         for index, code in enumerate(sf.code_lines):
             lineno = index + 1
             raw = sf.raw_lines[index] if index < len(sf.raw_lines) else code
@@ -157,39 +151,11 @@ def run_on_model(model: SourceModel) -> list[Finding]:
                         Finding(sf.display, lineno, rule, message)
                     )
 
-            if (
-                pq_banned
-                and PRIORITY_QUEUE_RE.search(code)
-                and "priority-queue" not in allowed
-            ):
-                findings.append(
-                    Finding(
-                        sf.display,
-                        lineno,
-                        "priority-queue",
-                        "std::priority_queue is banned in src/sim: keep the "
-                        "slab-backed d-ary heap (supports tombstone "
-                        "compaction and moving callbacks out without "
-                        "const_cast)",
+            for rule, _dir, pattern, message in dir_rules:
+                if pattern.search(code) and rule not in allowed:
+                    findings.append(
+                        Finding(sf.display, lineno, rule, message)
                     )
-                )
-
-            if (
-                friend_banned
-                and FRIEND_RE.search(code)
-                and "friend-backdoor" not in allowed
-            ):
-                findings.append(
-                    Finding(
-                        sf.display,
-                        lineno,
-                        "friend-backdoor",
-                        "friend is banned in src/platform: subsystems "
-                        "interact through public interfaces and hook "
-                        "structs, never by reaching into each other's "
-                        "private state",
-                    )
-                )
 
             if not sensitive:
                 continue
@@ -224,57 +190,4 @@ def run_on_model(model: SourceModel) -> list[Finding]:
                             "from sim/audit.hpp",
                         )
                     )
-    findings.sort(key=lambda f: f.sort_key())
     return findings
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "roots",
-        nargs="*",
-        default=["src"],
-        help="source roots to scan (default: src)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print rule names and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule, _, message in LINE_RULES:
-            print(f"{rule}: {message}")
-        print("unordered-iteration: (ordering-sensitive dirs only)")
-        print("bare-assert: (ordering-sensitive dirs only)")
-        print("priority-queue: (src/sim only)")
-        print("friend-backdoor: (src/platform only)")
-        return 0
-
-    roots = [Path(r) for r in (args.roots or ["src"])]
-    for root in roots:
-        if not root.is_dir():
-            print(
-                f"determinism_lint: no such directory: {root}", file=sys.stderr
-            )
-            return 2
-
-    # Line rules don't need the token-level parse.
-    model = SourceModel(roots, parse=False).load()
-    findings = run_on_model(model)
-
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(
-            f"determinism_lint: {len(findings)} unannotated violation(s) in "
-            f"{len(model.files)} file(s); suppress intentional uses with "
-            "// lint:allow(<rule>)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"determinism_lint: OK ({len(model.files)} files clean)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

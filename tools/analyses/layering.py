@@ -1,31 +1,28 @@
-#!/usr/bin/env python3
-"""Architecture-layering analyzer for the Xanadu simulation codebase.
+"""Layering rules: the include graph of src/ against the declared stack.
 
 ARCHITECTURE.md declares src/ as a layered stack (low to high):
 
     common < sim < workflow < cluster < platform < metrics < core < workload
 
-This tool makes the declaration machine-checked.  It runs over the include
-graph the shared cppmodel front end extracts (quoted includes only; system
-headers are ignored) and rejects:
+These rules run over the include graph the shared cppmodel front end
+extracts (quoted includes only; system headers are ignored) of the scanned
+root named `src` -- bench/ and the other roots have no layer structure --
+and reject:
 
-  unknown-layer    a quoted include whose first path component is not a
-                   declared layer (new top-level directories must be added
-                   to LAYER_ORDER here and to ARCHITECTURE.md)
+  unknown-layer    a quoted include or a directory whose first path
+                   component is not a declared layer (new top-level
+                   directories must be added to LAYER_ORDER here and to
+                   ARCHITECTURE.md)
   missing-header   a quoted include that does not resolve to a file under
                    the scanned source root
   cpp-include      #include of a *.cpp / *.cc file (textual inclusion of a
                    translation unit)
   layering         an include whose target sits in a HIGHER layer than the
                    including file (a back-edge: lower layers must not know
-                   about higher ones; this includes skips, e.g. sim/
-                   including core/)
+                   about higher ones)
   include-cycle    a cycle in the file-level include graph (the layer rule
                    makes cross-layer cycles impossible, but same-layer
                    header cycles would still break builds subtly)
-
-With --strict (the CI configuration), additionally:
-
   layer-skip       a downward include that skips MORE THAN ONE layer and is
                    not covered by the explicit allowlist below.  Deep skips
                    are how layering erodes: each one couples a high layer to
@@ -34,29 +31,19 @@ With --strict (the CI configuration), additionally:
                    -- ids, hashing, Rng, Duration/TimePoint and the
                    Simulator are the vocabulary of every layer above them.
                    Every other deep skip must be added to
-                   STRICT_SKIP_ALLOWLIST with a justification.
+                   STRICT_SKIP_ALLOWLIST with a justification, and an entry
+                   whose skip is gone is reported as stale.
 
-A finding can be suppressed per line with the same escape hatch the
-determinism lint uses, on the offending line or the line directly above:
-
-    // lint:allow(<rule>) justification
-
-`--dot PATH` additionally writes the condensed layer-level include graph as
-GraphViz DOT (edge labels carry include counts); the committed figure in
-ARCHITECTURE.md ("Layering DAG") is generated this way.
-
-Exit status is 0 when no unannotated violations remain, 1 otherwise.
-Run directly (`tools/layer_lint.py src`) or via `ctest -R layer_lint` (or
-as part of the unified `xan_lint` driver).
+`write_dot` exports the condensed layer-level include graph as GraphViz
+DOT (edge labels carry include counts); the committed figure
+docs/layering.dot is generated with `tools/xan_lint.py src bench --dot`.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 
-from cppmodel import Finding, SourceModel, allowed_at
+from cppmodel import Finding, allowed_at
 
 # Declared layer order, lowest (most fundamental) first.  A file in layer L
 # may include only layers at or below L.
@@ -78,12 +65,11 @@ LAYER_INDEX = {name: index for index, name in enumerate(LAYER_ORDER)}
 # (Duration, TimePoint, Simulator).
 FOUNDATION_LAYERS = {"common", "sim"}
 
-# --strict: deep downward skips (distance > 1) into non-foundation layers
-# allowed on purpose, with why.  Growing this list is a design decision,
-# not a lint tweak -- see ARCHITECTURE.md "Static analysis & verification".
-# Audited for staleness each PR: the strict run flags any entry whose deep
-# skip no longer exists (PR 10 audit: all nine entries still carry live
-# includes; nothing to prune).
+# Deep downward skips (distance > 1) into non-foundation layers allowed on
+# purpose, with why.  Growing this list is a design decision, not a lint
+# tweak -- see ARCHITECTURE.md "Static analysis & verification".  An entry
+# whose two layers are both scanned but whose deep skip no longer exists
+# is reported as stale, so the list shrinks back as the coupling does.
 STRICT_SKIP_ALLOWLIST = {
     ("platform", "workflow"):
         "the engine executes WorkflowDag nodes; FunctionSpec is its input",
@@ -159,9 +145,9 @@ def find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
     return cycles
 
 
-def emit_dot(
-    layer_edges: dict[tuple[str, str], int], out_path: Path
-) -> None:
+def write_dot(model, out_path: Path) -> None:
+    """The condensed layer-level include graph of `src` as GraphViz DOT."""
+    _findings, layer_edges = _scan(model)
     lines = ["digraph layering {", "  rankdir=BT;", '  node [shape=box, fontname="Helvetica"];']
     for layer in LAYER_ORDER:
         lines.append(f"  {layer};")
@@ -171,15 +157,14 @@ def emit_dot(
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def run_on_model(
-    model: SourceModel,
-    strict: bool = False,
-    root_name: str = "src",
-) -> tuple[list[Finding], dict[tuple[str, str], int]]:
-    """Layer rules over the files of the model root named `root_name`
-    (bench/ and fixtures have no layer structure).  Returns (findings,
-    condensed layer-edge counts for --dot)."""
-    files = [sf for sf in model.files if sf.root.name == root_name]
+def run(model) -> list[Finding]:
+    return _scan(model)[0]
+
+
+def _scan(model) -> tuple[list[Finding], dict[tuple[str, str], int]]:
+    """Layer rules over the files of the model root named `src`.  Returns
+    (findings, condensed layer-edge counts)."""
+    files = [sf for sf in model.files if sf.root.name == "src"]
     known = {str(sf.rel) for sf in files}
 
     findings: list[Finding] = []
@@ -251,8 +236,7 @@ def run_on_model(
                     )
                 skip = LAYER_INDEX[src_layer] - LAYER_INDEX[dst_layer]
                 if (
-                    strict
-                    and skip > 1
+                    skip > 1
                     and dst_layer not in FOUNDATION_LAYERS
                     and (src_layer, dst_layer) not in STRICT_SKIP_ALLOWLIST
                     and "layer-skip" not in allowed
@@ -267,94 +251,23 @@ def run_on_model(
                         )
                     )
 
+    display = {str(sf.rel): sf.display for sf in files}
     for cycle in find_cycles(file_graph):
         findings.append(
             Finding(
-                cycle[0], 1, "include-cycle",
+                display[cycle[0]], 1, "include-cycle",
                 "include cycle: " + " -> ".join(cycle),
             )
         )
 
-    if strict:
-        # A stale allowlist entry means the deep skip it justified is gone;
-        # flag it so the list shrinks back as the coupling does.
-        used = {
-            pair for pair in layer_edges
-            if LAYER_INDEX[pair[0]] - LAYER_INDEX[pair[1]] > 1
-            and pair[1] not in FOUNDATION_LAYERS
-        }
-        for pair in sorted(STRICT_SKIP_ALLOWLIST.keys() - used):
+    scanned = {sf.rel.parts[0] for sf in files if len(sf.rel.parts) > 1}
+    for pair in sorted(STRICT_SKIP_ALLOWLIST):
+        if set(pair) <= scanned and pair not in layer_edges:
             findings.append(
                 Finding(
-                    "tools/layer_lint.py", 1, "layer-skip",
+                    "tools/analyses/layering.py", 1, "layer-skip",
                     f"stale allowlist entry {pair}: no such deep skip "
                     "remains; remove it",
                 )
             )
-
-    findings.sort(key=lambda f: f.sort_key())
     return findings, layer_edges
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "root",
-        nargs="?",
-        default="src",
-        help="source root to scan (default: src)",
-    )
-    parser.add_argument(
-        "--dot",
-        metavar="PATH",
-        help="write the condensed layer-level include graph as GraphViz DOT",
-    )
-    parser.add_argument(
-        "--list-layers", action="store_true", help="print the layer order and exit"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="additionally ban >1-layer downward include skips outside the "
-        "explicit allowlist (the CI configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_layers:
-        print(" < ".join(LAYER_ORDER))
-        return 0
-
-    root = Path(args.root)
-    if not root.is_dir():
-        print(f"layer_lint: no such directory: {root}", file=sys.stderr)
-        return 2
-
-    # Include/layer rules don't need the token-level parse.
-    model = SourceModel([root], parse=False).load()
-    findings, layer_edges = run_on_model(
-        model, strict=args.strict, root_name=root.name
-    )
-
-    if args.dot:
-        emit_dot(layer_edges, Path(args.dot))
-        print(f"layer_lint: wrote {args.dot}")
-
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(
-            f"layer_lint: {len(findings)} unannotated violation(s) in "
-            f"{len(model.files)} file(s); deliberate exceptions need "
-            "// lint:allow(<rule>)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"layer_lint: OK ({len(model.files)} files, "
-        f"{sum(layer_edges.values())} cross-layer includes, all downward)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -42,8 +42,6 @@ from .lexer import (  # noqa: F401
     strip_comments_and_strings,
     tokenize,
 )
-from .model import SourceFile, SourceModel  # noqa: F401
+from .model import SOURCE_SUFFIXES, SourceFile, SourceModel  # noqa: F401
 from .report import Finding, write_json, write_sarif  # noqa: F401
 from .suppress import allow_sets, allowed_at  # noqa: F401
-
-SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".h"}

@@ -1,6 +1,6 @@
 """Function extraction and call-site modelling (shared C++ front end).
 
-Grown out of the PR-6 flow_lint extractor, with three front-end upgrades
+Grown out of the first flow-analysis extractor, with three front-end upgrades
 every analysis now shares:
 
   * Enclosing-class qualification.  A linear scope pre-pass tracks

@@ -1,7 +1,7 @@
 """Comment/string stripping and tokenization (shared C++ front end).
 
-Extracted verbatim from the PR-6 flow_lint implementation so every analysis
-sees the same token stream; see the package docstring for the contract.
+One implementation, so every analysis sees the same token stream; see the
+package docstring for the contract.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-// flow_lint fixture: the pre-fix speculative provision-batch race, distilled.
+// xan_lint fixture: the pre-fix speculative provision-batch race, distilled.
 //
 // Mirrors the old Cluster::sample_provision_latency / daemon_build_sandbox
 // shape: a tied batch of daemon events is scheduled at the same instant, and
 // each handler draws cold-start jitter from the *shared* cluster stream --
-// so firing order decides which draw lands on which worker.  flow_lint must
+// so firing order decides which draw lands on which worker.  xan_lint must
 // report rule `shared-rng-draw` here, with a path from the handler root
 // through the call edge to the draw.
 //

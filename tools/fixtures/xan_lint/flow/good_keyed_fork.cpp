@@ -1,6 +1,6 @@
-// flow_lint fixture: the post-fix shape.  Handler-reachable code derives a
+// xan_lint fixture: the post-fix shape.  Handler-reachable code derives a
 // per-entity stream with fork_stream(stable_key) and draws from that local;
-// flow_lint must report zero findings -- fork_stream() never consumes parent
+// xan_lint must report zero findings -- fork_stream() never consumes parent
 // state and the local stream is not shared.
 //
 // This file is analyzer input only; it is never compiled or linked.

@@ -1,4 +1,4 @@
-// flow_lint fixture: overload-set resolution by argument arity.
+// xan_lint fixture: overload-set resolution by argument arity.
 //
 // Two same-named `sample` overloads: the one-argument form draws from the
 // shared member stream, the two-argument form is pure.  SafeMixer's handler

@@ -1,7 +1,7 @@
-// flow_lint fixture: the same hazards as the bad fixtures, but each carrying
-// a reviewed // flow-lint:allow(<rule>) escape.  flow_lint must report zero
-// findings here -- this pins the suppression syntax (same line and
-// line-above placement both work).
+// xan_lint fixture: the same hazards as the bad fixtures, but each carrying
+// a reviewed // flow-lint:allow(<rule>) escape.  The flow rules must report
+// zero findings here -- this pins the suppression syntax (same line and
+// line-above placement both work); the wall-clock line rule still fires.
 //
 // This file is analyzer input only; it is never compiled or linked.
 
